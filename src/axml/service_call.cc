@@ -1,6 +1,8 @@
 #include "axml/service_call.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <unordered_map>
 
 #include "common/strings.h"
 #include "query/eval.h"
@@ -184,17 +186,75 @@ Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
 std::vector<xml::NodeId> FindServiceCalls(const xml::Document& doc,
                                           xml::NodeId from) {
   std::vector<xml::NodeId> out;
-  doc.Walk(from, [&doc, &out](const xml::Node& n) {
-    if (query::IsBookkeepingElement(n)) return false;  // prune params etc.
-    if (n.is_element() && n.name == "axml:sc") {
-      out.push_back(n.id);
-      // Result children may themselves embed service calls ("the invocation
-      // results may be ... another service call") — keep walking, the prune
-      // above keeps parameter calls out.
+  const xml::Node* top = doc.Find(from);
+  // A bookkeeping element hides everything under it (parameter calls and
+  // handlers are materialized as part of their enclosing call).
+  if (top == nullptr || query::IsBookkeepingElement(*top)) return out;
+  std::vector<xml::NodeId> calls;
+  doc.CollectElementsNamed(xml::kNameAxmlSc, &calls);
+  if (calls.empty()) return out;
+
+  // The visible calls and their ancestors up to `from` form a small
+  // "path tree"; walking it in child order yields document order without
+  // touching the rest of the document. Result children may themselves embed
+  // calls ("the invocation results may be ... another service call"), so a
+  // call can also be an inner node of the path tree.
+  struct PathNode {
+    bool is_call = false;
+    std::vector<xml::NodeId> kids;  ///< Path-tree children, any order.
+  };
+  std::unordered_map<xml::NodeId, PathNode> tree;
+  tree[from];
+  std::vector<xml::NodeId> chain;
+  for (xml::NodeId call : calls) {
+    // Climb until `from` or a node already known to be visible from it;
+    // a bookkeeping ancestor or a detached root hides the call.
+    chain.clear();
+    xml::NodeId cur = call;
+    bool visible = false;
+    while (true) {
+      if (tree.count(cur) > 0) {
+        visible = true;
+        break;
+      }
+      const xml::Node* n = doc.Find(cur);
+      if (n == nullptr || query::IsBookkeepingElement(*n)) break;
+      chain.push_back(cur);
+      cur = n->parent;
+      if (cur == xml::kNullNode) break;
     }
-    return true;
-  });
-  (void)doc;
+    if (!visible) continue;
+    // Link the new stretch top-down below its nearest known ancestor.
+    for (size_t i = chain.size(); i > 0; --i) {
+      tree[cur].kids.push_back(chain[i - 1]);
+      cur = chain[i - 1];
+      (void)tree[cur];
+    }
+    tree[call].is_call = true;
+  }
+
+  // Pre-order over the path tree. A node with several path children ranks
+  // them by one scan of its real child list, not a search per child.
+  std::vector<xml::NodeId> stack = {from};
+  std::vector<xml::NodeId> ordered;
+  while (!stack.empty()) {
+    const xml::NodeId id = stack.back();
+    stack.pop_back();
+    PathNode& node = tree[id];
+    if (node.is_call) out.push_back(id);
+    std::vector<xml::NodeId>& kids = node.kids;
+    if (kids.size() > 1) {
+      std::sort(kids.begin(), kids.end());
+      ordered.clear();
+      for (xml::NodeId c : doc.Find(id)->children) {
+        if (std::binary_search(kids.begin(), kids.end(), c)) {
+          ordered.push_back(c);
+        }
+      }
+      kids.swap(ordered);
+    }
+    for (size_t i = kids.size(); i > 0; --i) stack.push_back(kids[i - 1]);
+  }
   return out;
 }
 

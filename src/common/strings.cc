@@ -60,28 +60,39 @@ bool Contains(std::string_view haystack, std::string_view needle) {
 std::string XmlEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
+  AppendXmlEscaped(s, &out);
+  return out;
+}
+
+void AppendXmlEscaped(std::string_view s, std::string* out) {
+  // Copy runs of ordinary characters in one append each.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* entity;
+    switch (s[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        entity = "&quot;";
         break;
       case '\'':
-        out += "&apos;";
+        entity = "&apos;";
         break;
       default:
-        out += c;
+        continue;
     }
+    out->append(s.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
 }
 
 std::string XmlUnescape(std::string_view s) {

@@ -27,6 +27,9 @@ bool Contains(std::string_view haystack, std::string_view needle);
 /// Escapes the five XML special characters (& < > " ') in `s`.
 std::string XmlEscape(std::string_view s);
 
+/// XmlEscape(s) appended to `*out`, without a temporary string.
+void AppendXmlEscaped(std::string_view s, std::string* out);
+
 /// Reverses XmlEscape for the standard five entities plus decimal/hex
 /// character references.
 std::string XmlUnescape(std::string_view s);

@@ -50,6 +50,9 @@ inline constexpr char kMetricTxnCompAcksOk[] = "txn.comp_acks_ok";
 inline constexpr char kMetricTxnCompAcksFailed[] = "txn.comp_acks_failed";
 inline constexpr char kMetricTxnSendsBestEffortFailed[] =
     "txn.sends_best_effort_failed";
+inline constexpr char kMetricTxnReplicaPushesDelta[] =
+    "txn.replica_pushes_delta";
+inline constexpr char kMetricTxnReplicaPushesFull[] = "txn.replica_pushes_full";
 inline constexpr char kMetricTxnSnapshotsTaken[] = "txn.snapshots_taken";
 inline constexpr char kMetricTxnSnapshotOps[] = "txn.snapshot_ops";
 inline constexpr char kMetricTxnConflictsDetected[] =

@@ -121,6 +121,7 @@ Status FaultDrill::SetUp() {
   }
 
   repo_ = std::make_unique<AxmlRepository>(options_.seed);
+  repo_->directory().SetReplicaPushObserver(options_.replica_push_observer);
   if (options_.runtime_workers >= 0) {
     runtime::JobQueueOptions rt;
     rt.workers = options_.runtime_workers;

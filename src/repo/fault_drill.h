@@ -70,6 +70,11 @@ struct FaultDrillOptions {
   /// Dump the full message trace plus per-transaction outcomes to stderr.
   bool debug = false;
 
+  /// Called after every eager replica push, once the replica is up to date
+  /// (txn::ServiceDirectory::SetReplicaPushObserver); lets a test compare
+  /// each push against the primary. Empty = no observer.
+  txn::ServiceDirectory::ReplicaPushObserver replica_push_observer;
+
   /// Root directory for per-peer durable stores; derived from the seed when
   /// empty. The drill wipes it at the start of Run().
   std::string storage_dir;

@@ -100,21 +100,28 @@ bool FileExists(const std::string& path) {
 
 void EncodeWalPayloadTo(const std::string& raw, std::string* out) {
   out->reserve(out->size() + raw.size());
-  for (char c : raw) {
-    switch (c) {
+  // Copy runs of ordinary characters in one append each.
+  size_t run = 0;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const char* code;
+    switch (raw[i]) {
       case '%':
-        out->append("%25");
+        code = "%25";
         break;
       case '\n':
-        out->append("%0A");
+        code = "%0A";
         break;
       case '\r':
-        out->append("%0D");
+        code = "%0D";
         break;
       default:
-        out->push_back(c);
+        continue;
     }
+    out->append(raw, run, i - run);
+    out->append(code);
+    run = i + 1;
   }
+  out->append(raw, run, raw.size() - run);
 }
 
 std::string EncodeWalPayload(const std::string& raw) {

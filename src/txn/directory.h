@@ -1,8 +1,10 @@
 #ifndef AXMLX_TXN_DIRECTORY_H_
 #define AXMLX_TXN_DIRECTORY_H_
 
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "chain/active_chain.h"
 #include "common/status.h"
@@ -45,6 +47,19 @@ class ServiceDirectory {
   /// Returns the replica of `original`, or an empty id.
   overlay::PeerId ReplicaOf(const overlay::PeerId& original) const;
 
+  /// Called with (original, document) after every eager replica push, once
+  /// the replica's copy of `document` is up to date. Lets tests check each
+  /// push; survives peer restarts because peers share the directory.
+  using ReplicaPushObserver =
+      std::function<void(const overlay::PeerId&, const std::string&)>;
+  void SetReplicaPushObserver(ReplicaPushObserver observer) {
+    replica_push_observer_ = std::move(observer);
+  }
+  void NotifyReplicaPushed(const overlay::PeerId& original,
+                           const std::string& document) const {
+    if (replica_push_observer_) replica_push_observer_(original, document);
+  }
+
   bool IsSuperPeer(const overlay::PeerId& peer) const;
 
   const service::ServiceDefinition* Lookup(const overlay::PeerId& peer,
@@ -67,6 +82,7 @@ class ServiceDirectory {
   };
   std::map<overlay::PeerId, Entry> entries_;
   std::map<overlay::PeerId, overlay::PeerId> replicas_;
+  ReplicaPushObserver replica_push_observer_;
 };
 
 }  // namespace axmlx::txn

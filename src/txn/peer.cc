@@ -35,7 +35,11 @@ PeerCounters::PeerCounters(obs::MetricsRegistry* metrics)
       comp_acks_ok(*metrics->GetCounter(obs::kMetricTxnCompAcksOk)),
       comp_acks_failed(*metrics->GetCounter(obs::kMetricTxnCompAcksFailed)),
       sends_best_effort_failed(
-          *metrics->GetCounter(obs::kMetricTxnSendsBestEffortFailed)) {}
+          *metrics->GetCounter(obs::kMetricTxnSendsBestEffortFailed)),
+      replica_pushes_delta(
+          *metrics->GetCounter(obs::kMetricTxnReplicaPushesDelta)),
+      replica_pushes_full(
+          *metrics->GetCounter(obs::kMetricTxnReplicaPushesFull)) {}
 
 PeerStats AxmlPeer::stats() const {
   PeerStats s;
@@ -885,8 +889,16 @@ void AxmlPeer::PushToReplica(const std::string& document,
   if (replica_repo == nullptr || doc == nullptr) return;
   // Eager replication (simulator shortcut for the replication layer of
   // [Abiteboul et al. 2003], which the paper assumes): ids are preserved so
-  // compensating operations remain valid on the replica.
-  replica_repo->PutDocument(doc->Clone());
+  // compensating operations remain valid on the replica. Only the nodes
+  // touched since the last push travel, unless the replica's copy cannot be
+  // shown to be the one that push produced (DESIGN.md §8).
+  if (doc->SyncReplica(replica_repo->GetDocument(document))) {
+    ++counters_.replica_pushes_delta;
+  } else {
+    replica_repo->PutDocument(doc->CloneForReplica());
+    ++counters_.replica_pushes_full;
+  }
+  directory_->NotifyReplicaPushed(id(), document);
 }
 
 void AxmlPeer::CompensateLocal(Ctx* ctx, overlay::Network* net) {

@@ -74,6 +74,10 @@ struct PeerCounters {
   obs::Counter& comp_acks_ok;
   obs::Counter& comp_acks_failed;
   obs::Counter& sends_best_effort_failed;
+  /// Replica pushes that shipped only the touched nodes vs. fell back to a
+  /// full document copy (first push, or the replica changed on its own).
+  obs::Counter& replica_pushes_delta;
+  obs::Counter& replica_pushes_full;
 };
 
 /// Observer interface for durable journaling of a peer's transactional

@@ -44,12 +44,9 @@ Status ApplyOp(Document* doc, const DiffOp& op) {
     }
     case DiffOp::Kind::kSetText:
       return doc->SetText(op.node, op.text);
-    case DiffOp::Kind::kSetAttributes: {
-      Node* node = doc->FindMutable(op.node);
-      if (node == nullptr) return NotFound("diff: unknown attr node");
-      node->attributes = op.attributes;
-      return Status::Ok();
-    }
+    case DiffOp::Kind::kSetAttributes:
+      if (!doc->Contains(op.node)) return NotFound("diff: unknown attr node");
+      return doc->SetAttributes(op.node, op.attributes);
     case DiffOp::Kind::kMove: {
       // Re-position: detach (ids preserved) and reinsert at the target.
       AXMLX_ASSIGN_OR_RETURN(DetachResult detached,

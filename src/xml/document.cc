@@ -1,6 +1,7 @@
 #include "xml/document.h"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 
 #include "common/strings.h"
@@ -16,9 +17,16 @@ constexpr const char* kReservedNames[kNumReservedNames] = {
 
 const std::string kEmptyName;
 
+/// Source of Document::identity(); atomic because worker threads may build
+/// fragment documents concurrently.
+std::atomic<uint64_t> next_identity{1};
+
 }  // namespace
 
-Document::Document(const std::string& root_name) {
+Document::Document(RawTag)
+    : identity_(next_identity.fetch_add(1, std::memory_order_relaxed)) {}
+
+Document::Document(const std::string& root_name) : Document(RawTag{}) {
   for (const char* reserved : kReservedNames) {
     (void)InternName(reserved);
   }
@@ -31,10 +39,14 @@ std::unique_ptr<Document> Document::Clone() const {
   copy->root_ = root_;
   copy->live_nodes_ = live_nodes_;
   copy->pages_.reserve(pages_.size());
-  for (const auto& page : pages_) {
-    auto new_page = std::make_unique<Node[]>(kPageSize);
-    std::copy(page.get(), page.get() + kPageSize, new_page.get());
-    copy->pages_.push_back(std::move(new_page));
+  copy->chunks_.reserve(chunks_.size());
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    const uint32_t capacity = PageCapacity(p);
+    const uint32_t used =
+        std::min(capacity, slots_used_ - PageStart(p));  // last page: partial
+    auto new_page = std::make_unique<Node[]>(capacity);
+    std::copy(pages_[p].get(), pages_[p].get() + used, new_page.get());
+    copy->AddPage(std::move(new_page), capacity);
   }
   copy->slots_used_ = slots_used_;
   copy->free_slots_ = free_slots_;
@@ -52,7 +64,77 @@ std::unique_ptr<Document> Document::Clone() const {
   return copy;
 }
 
+std::unique_ptr<Document> Document::CloneForReplica() {
+  std::unique_ptr<Document> copy = Clone();
+  track_changes_ = true;
+  changed_ids_.clear();
+  synced_identity_ = copy->identity_;
+  synced_mutations_ = copy->mutations_;
+  return copy;
+}
+
+// Writes the replica's nodes without recording versions on purpose: the
+// replica takes the primary's MVCC state wholesale below, exactly as a
+// Clone() would, and the push is not a local change. lint:allow(R6)
+bool Document::SyncReplica(Document* replica) {
+  if (!track_changes_ || replica == nullptr || replica == this ||
+      replica->identity_ != synced_identity_ ||
+      replica->mutations_ != synced_mutations_) {
+    return false;
+  }
+  Document& r = *replica;
+  // Ids are never reused, so each touched id's current record (or its
+  // absence) is its whole story; duplicates and order do not matter.
+  std::sort(changed_ids_.begin(), changed_ids_.end());
+  changed_ids_.erase(std::unique(changed_ids_.begin(), changed_ids_.end()),
+                     changed_ids_.end());
+  for (NodeId id : changed_ids_) {
+    const Node* src = Find(id);
+    const Node* old = r.Find(id);
+    if (src == nullptr) {
+      if (old != nullptr) r.FreeNode(id);
+      continue;
+    }
+    Node* dst;
+    if (old == nullptr) {
+      const uint32_t slot = r.AllocSlot();
+      dst = &r.NodeAt(slot);
+      r.MapIdToSlot(id, slot);
+    } else {
+      dst = r.FindMutable(id);
+    }
+    // Every live element sits in its current name's bucket, so only a new
+    // element, or one whose name changed, needs an index entry.
+    const bool indexed = old != nullptr && dst->is_element() &&
+                         src->is_element() && dst->name == src->name;
+    *dst = *src;  // copy-assignment reuses the slot's string/vector capacity
+    if (dst->is_element()) {
+      dst->name_id = r.InternName(dst->name);
+      if (!indexed) r.name_index_[dst->name_id].push_back(id);
+    } else {
+      dst->name_id = kNoName;
+    }
+  }
+  changed_ids_.clear();
+  // The replica did not record these writes, so if it pushes on to a
+  // replica of its own, that push must be a full copy.
+  r.track_changes_ = false;
+  r.next_id_ = next_id_;
+  r.root_ = root_;
+  // What a Clone() would carry besides the nodes: MVCC state and the
+  // storage counters (history is pruned to empty between transactions).
+  r.versioning_enabled_ = versioning_enabled_;
+  r.version_ = version_;
+  r.writer_ = writer_;
+  r.history_ = history_;
+  r.storage_stats_ = storage_stats_;
+  synced_mutations_ = r.mutations_;
+  return true;
+}
+
 void Document::RecordVersion(NodeId id) {
+  ++mutations_;
+  if (track_changes_) changed_ids_.push_back(id);
   if (!versioning_enabled_) return;
   VersionRecord rec;
   rec.version = ++version_;
@@ -164,8 +246,9 @@ uint32_t Document::AllocSlot() {
     ++storage_stats_.slots_reused;
     return slot;
   }
-  if (slots_used_ == pages_.size() * kPageSize) {
-    pages_.push_back(std::make_unique<Node[]>(kPageSize));
+  if (slots_used_ == PageStart(pages_.size())) {  // every page is full
+    const uint32_t capacity = PageCapacity(pages_.size());
+    AddPage(std::make_unique<Node[]>(capacity), capacity);
     ++storage_stats_.pages_allocated;
   }
   uint32_t slot = slots_used_++;
@@ -173,8 +256,18 @@ uint32_t Document::AllocSlot() {
   return slot;
 }
 
+void Document::AddPage(std::unique_ptr<Node[]> page, uint32_t capacity) {
+  for (uint32_t run = 0; run < capacity; run += 1u << kChunkBits) {
+    chunks_.push_back(page.get() + run);
+  }
+  pages_.push_back(std::move(page));
+}
+
 void Document::MapIdToSlot(NodeId id, uint32_t slot) {
-  if (id >= slot_of_id_.size()) {
+  if (id == slot_of_id_.size()) {  // the common case: the next fresh id
+    slot_of_id_.push_back(kInvalidSlot);
+    gen_of_id_.push_back(0);
+  } else if (id > slot_of_id_.size()) {
     slot_of_id_.resize(id + 1, kInvalidSlot);
     gen_of_id_.resize(id + 1, 0);
   }
@@ -234,7 +327,7 @@ void Document::FreeNode(NodeId id) {
   --live_nodes_;
 }
 
-NodeId Document::CreateElement(const std::string& name) {
+NodeId Document::CreateElement(std::string_view name) {
   NameId name_id = InternName(name);
   NodeId id = NewNode(NodeType::kElement);
   Node* node = FindMutable(id);
@@ -244,13 +337,13 @@ NodeId Document::CreateElement(const std::string& name) {
   return id;
 }
 
-NodeId Document::CreateText(const std::string& text) {
+NodeId Document::CreateText(std::string_view text) {
   NodeId id = NewNode(NodeType::kText);
   FindMutable(id)->text = text;
   return id;
 }
 
-NodeId Document::CreateComment(const std::string& text) {
+NodeId Document::CreateComment(std::string_view text) {
   NodeId id = NewNode(NodeType::kComment);
   FindMutable(id)->text = text;
   return id;
@@ -370,6 +463,18 @@ Status Document::SetAttribute(NodeId id, const std::string& key,
     }
   }
   n->attributes.emplace_back(key, value);
+  return Status::Ok();
+}
+
+Status Document::SetAttributes(
+    NodeId id, std::vector<std::pair<std::string, std::string>> attributes) {
+  Node* n = FindMutable(id);
+  if (n == nullptr) return NotFound("SetAttributes: unknown node");
+  if (!n->is_element()) {
+    return InvalidArgument("SetAttributes: node is not an element");
+  }
+  RecordVersion(id);
+  n->attributes = std::move(attributes);
   return Status::Ok();
 }
 
@@ -592,7 +697,7 @@ void Document::SerializeNode(NodeId id, bool pretty, int depth,
   switch (n->type) {
     case NodeType::kText:
       if (pretty) *out += indent;
-      *out += XmlEscape(n->text);
+      AppendXmlEscaped(n->text, out);
       if (pretty) *out += "\n";
       return;
     case NodeType::kComment:
@@ -612,7 +717,7 @@ void Document::SerializeNode(NodeId id, bool pretty, int depth,
     out->push_back(' ');
     out->append(k);
     out->append("=\"");
-    out->append(XmlEscape(v));
+    AppendXmlEscaped(v, out);
     out->push_back('"');
   }
   if (n->children.empty()) {

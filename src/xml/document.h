@@ -41,13 +41,14 @@ struct ReadView {
 /// the compensation log, or a service invocation result. A fragment is
 /// simply a document whose root carries the fragment's top-level nodes.
 ///
-/// Storage layout (DESIGN.md §8): nodes live in slab pages — fixed-size
-/// arrays of `Node` — with a free list of reusable slots. A `NodeId` maps
-/// to its slot through dense per-id arrays with a generation check, so
-/// `Find` is two array reads, stale ids of destroyed nodes resolve to
-/// nullptr, and `Node*` handles stay valid until the node is destroyed
-/// (pages are never moved or shrunk). Ids are still never reused, which the
-/// paper's compensation contract (§3.1) relies on.
+/// Storage layout (DESIGN.md §8): nodes live in slab pages — arrays of
+/// `Node` that start small (8 slots) and double up to 512 — with a free
+/// list of reusable slots. A `NodeId` maps to its slot through dense
+/// per-id arrays with a generation check, so `Find` is two array reads,
+/// stale ids of destroyed nodes resolve to nullptr, and `Node*` handles
+/// stay valid until the node is destroyed (pages are never moved or
+/// shrunk). Ids are still never reused, which the paper's compensation
+/// contract (§3.1) relies on.
 ///
 /// Tag names are interned in a per-document string table (`NameId`), and an
 /// incidence index `NameId -> node ids` accelerates descendant-axis query
@@ -68,6 +69,35 @@ class Document {
   /// Deep copy (fresh ids are NOT assigned: ids are preserved so that
   /// snapshots taken for tests compare structurally AND positionally).
   std::unique_ptr<Document> Clone() const;
+
+  // --- Replica synchronization (DESIGN.md §8) ------------------------------
+  //
+  // Eager replication keeps a copy of a peer's document on its replica
+  // peer. Instead of re-cloning the whole document after every service, the
+  // primary remembers which node ids it touched since the last push (the
+  // RecordVersion hook every mutator already calls) and copies only those
+  // records. That is sound only while the replica still is the copy the
+  // primary last produced, which the primary checks by the replica's
+  // identity and mutation count.
+
+  /// Full copy for a replica: Clone(), and from now on this document
+  /// records the ids it touches so SyncReplica can ship only those.
+  std::unique_ptr<Document> CloneForReplica();
+
+  /// Brings `replica` up to this document's state by copying the node
+  /// records touched since the last push (id-preserving). Returns false,
+  /// leaving `replica` untouched, unless `replica` provably still is the
+  /// copy this document produced last time — same identity, no mutation
+  /// since — and this document has tracked every change since; the caller
+  /// then falls back to CloneForReplica().
+  bool SyncReplica(Document* replica);
+
+  /// Process-unique identity, fresh for every constructed or cloned
+  /// document (a replaced document never passes for its predecessor).
+  uint64_t identity() const { return identity_; }
+
+  /// Counts every recorded node-state change, versioning on or off.
+  uint64_t mutation_count() const { return mutations_; }
 
   NodeId root() const { return root_; }
 
@@ -162,13 +192,13 @@ class Document {
   // --- Node creation -------------------------------------------------------
 
   /// Creates a detached element node; attach it with AppendChild/InsertAt.
-  NodeId CreateElement(const std::string& name);
+  NodeId CreateElement(std::string_view name);
 
   /// Creates a detached text node.
-  NodeId CreateText(const std::string& text);
+  NodeId CreateText(std::string_view text);
 
   /// Creates a detached comment node.
-  NodeId CreateComment(const std::string& text);
+  NodeId CreateComment(std::string_view text);
 
   // --- Tree mutation -------------------------------------------------------
 
@@ -198,6 +228,10 @@ class Document {
   /// Sets (adds or overwrites) an attribute on an element node.
   Status SetAttribute(NodeId id, const std::string& key,
                       const std::string& value);
+
+  /// Replaces an element node's whole attribute list.
+  Status SetAttributes(
+      NodeId id, std::vector<std::pair<std::string, std::string>> attributes);
 
   // --- Subtree copy --------------------------------------------------------
 
@@ -244,6 +278,9 @@ class Document {
 
   /// Number of live nodes (including the root).
   size_t size() const { return live_nodes_; }
+
+  /// One past the largest id ever allocated here; the next new node's id.
+  NodeId next_id() const { return next_id_; }
 
   /// Number of nodes in the subtree rooted at `id` (0 if unknown).
   size_t SubtreeSize(NodeId id) const;
@@ -293,26 +330,52 @@ class Document {
   const StorageStats& storage_stats() const { return storage_stats_; }
 
  private:
-  // Slab geometry: nodes live in pages of kPageSize contiguous records, so
-  // `Node*` handles never move (pages are never freed or reallocated) while
+  // Slab geometry: nodes live in pages of contiguous records, so `Node*`
+  // handles never move (pages are never freed or reallocated) while
   // allocation stays mostly-contiguous and reusable through the free list.
+  // Pages start small so a throwaway fragment document does not build 512
+  // nodes: page 0 holds slots [0, 8), page p in 1..6 holds [2^(p+2),
+  // 2^(p+3)) — 8, 16, ..., 256 slots — and every later page holds
+  // kPageSize slots, page p covering [(p - 6) * 512, (p - 5) * 512).
+  // Lookup does not need the page number: `chunks_` lists the first node of
+  // every 8-slot run, so NodeAt is one load and an index, as with
+  // fixed-size pages.
+  static constexpr uint32_t kChunkBits = 3;  ///< Also page 0's size (8).
+  static constexpr uint32_t kChunkMask = (1u << kChunkBits) - 1;
   static constexpr uint32_t kPageBits = 9;
   static constexpr uint32_t kPageSize = 1u << kPageBits;
-  static constexpr uint32_t kPageMask = kPageSize - 1;
+  /// Pages below slot kPageSize (the 8-slot page plus one per doubling).
+  static constexpr uint32_t kSmallPages = kPageBits - kChunkBits + 1;
   static constexpr uint32_t kInvalidSlot = 0xFFFFFFFFu;
 
+  /// Slots held by page `page`.
+  static uint32_t PageCapacity(size_t page) {
+    if (page == 0) return 1u << kChunkBits;
+    if (page < kSmallPages) return 1u << (page + kChunkBits - 1);
+    return kPageSize;
+  }
+  /// First slot of page `page`; equally, the slots held by pages before it.
+  static uint32_t PageStart(size_t page) {
+    if (page == 0) return 0;
+    if (page < kSmallPages) return 1u << (page + kChunkBits - 1);
+    return static_cast<uint32_t>(page - kSmallPages + 1) << kPageBits;
+  }
+
   struct RawTag {};  ///< Tag for the member-copying Clone constructor.
-  explicit Document(RawTag) {}
+  explicit Document(RawTag);
 
   Node& NodeAt(uint32_t slot) {
-    return pages_[slot >> kPageBits][slot & kPageMask];
+    return chunks_[slot >> kChunkBits][slot & kChunkMask];
   }
   const Node& NodeAt(uint32_t slot) const {
-    return pages_[slot >> kPageBits][slot & kPageMask];
+    return chunks_[slot >> kChunkBits][slot & kChunkMask];
   }
 
+  /// Takes ownership of a fresh page and indexes its 8-slot runs.
+  void AddPage(std::unique_ptr<Node[]> page, uint32_t capacity);
+
   /// Grabs a free slot (free list first, else bump allocation, growing the
-  /// slab by one page when full).
+  /// slab by one page of the next size when full).
   uint32_t AllocSlot();
 
   /// Maps `id` to `slot` in the id->slot arrays, growing them as needed and
@@ -362,10 +425,21 @@ class Document {
 
   NodeId next_id_ = 1;
   NodeId root_ = kNullNode;
+
+  // Replica sync state (see SyncReplica). While `track_changes_` is on,
+  // RecordVersion appends every touched id to `changed_ids_`; `synced_*`
+  // name the replica copy the last push produced.
+  uint64_t identity_ = 0;
+  uint64_t mutations_ = 0;
+  bool track_changes_ = false;
+  std::vector<NodeId> changed_ids_;
+  uint64_t synced_identity_ = 0;
+  uint64_t synced_mutations_ = 0;
   size_t live_nodes_ = 0;
 
   // Slab storage + free list.
   std::vector<std::unique_ptr<Node[]>> pages_;
+  std::vector<Node*> chunks_;  ///< [slot >> kChunkBits] -> run's first node.
   uint32_t slots_used_ = 0;  ///< High-water mark of ever-touched slots.
   std::vector<uint32_t> free_slots_;
   std::vector<uint32_t> slot_gen_;  ///< [slot] -> current generation.

@@ -1,12 +1,17 @@
 #include "xml/parser.h"
 
-#include <cctype>
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/strings.h"
 
 namespace axmlx::xml {
 namespace {
+
+using Attributes = std::vector<std::pair<std::string, std::string>>;
 
 /// Recursive-descent parser over a string_view. Tracks line numbers for
 /// error messages.
@@ -26,14 +31,16 @@ class ParserImpl {
     // through the document so the interned name id and tag index follow.
     const Node* parsed = doc->Find(root);
     AXMLX_RETURN_IF_ERROR(doc->RenameElement(doc->root(), parsed->name));
-    Node* placeholder = doc->FindMutable(doc->root());
-    placeholder->attributes = parsed->attributes;
+    AXMLX_RETURN_IF_ERROR(doc->SetAttributes(doc->root(), parsed->attributes));
     std::vector<NodeId> children = parsed->children;
     for (NodeId c : children) {
+      // Splicing inside a document nobody else has seen yet: no snapshot or
+      // replica can observe the unrecorded write. lint:allow(R6)
       doc->FindMutable(c)->parent = kNullNode;
       Status s = doc->AppendChild(doc->root(), c);
       if (!s.ok()) return s;
     }
+    // Same fresh-document splice as above. lint:allow(R6)
     doc->FindMutable(root)->children.clear();
     auto removed = doc->RemoveSubtree(root);
     if (!removed.ok()) return removed.status();
@@ -60,16 +67,28 @@ class ParserImpl {
     }
   }
 
+  /// Advances to the next `c` (or the end), counting newlines on the way.
+  void AdvanceTo(char c) {
+    const size_t next = std::min(input_.find(c, pos_), input_.size());
+    line_ += static_cast<int>(
+        std::count(input_.begin() + static_cast<ptrdiff_t>(pos_),
+                   input_.begin() + static_cast<ptrdiff_t>(next), '\n'));
+    pos_ = next;
+  }
+
   Status Error(const std::string& message) const {
     std::ostringstream os;
     os << "line " << line_ << ": " << message;
     return ParseError(os.str());
   }
 
+  /// std::isspace in the "C" locale, without the library call.
+  static bool IsSpace(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
   void SkipWhitespace() {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      Advance();
-    }
+    while (!AtEnd() && IsSpace(Peek())) Advance();
   }
 
   /// Skips whitespace, the XML declaration, and comments outside elements.
@@ -91,19 +110,21 @@ class ParserImpl {
     }
   }
 
+  // ASCII classes, as std::isalpha/isdigit give in the "C" locale.
   static bool IsNameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+           c == ':';
   }
   static bool IsNameChar(char c) {
-    return IsNameStart(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-           c == '-' || c == '.';
+    return IsNameStart(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
   }
 
-  Result<std::string> ParseName() {
+  /// A name, as a view into the input (names contain no newlines).
+  Result<std::string_view> ParseName() {
     if (AtEnd() || !IsNameStart(Peek())) return Error("expected a name");
     size_t start = pos_;
-    while (!AtEnd() && IsNameChar(Peek())) Advance();
-    return std::string(input_.substr(start, pos_ - start));
+    while (!AtEnd() && IsNameChar(Peek())) ++pos_;
+    return input_.substr(start, pos_ - start);
   }
 
   Result<std::string> ParseQuotedValue() {
@@ -113,7 +134,7 @@ class ParserImpl {
     char quote = Peek();
     Advance();
     size_t start = pos_;
-    while (!AtEnd() && Peek() != quote) Advance();
+    AdvanceTo(quote);
     if (AtEnd()) return Error("unterminated attribute value");
     std::string value = XmlUnescape(input_.substr(start, pos_ - start));
     Advance();  // closing quote
@@ -123,20 +144,31 @@ class ParserImpl {
   /// Parses one element (cursor at '<') into `doc`, detached.
   Result<NodeId> ParseElement(Document* doc) {
     Advance();  // '<'
-    AXMLX_ASSIGN_OR_RETURN(std::string name, ParseName());
+    AXMLX_ASSIGN_OR_RETURN(std::string_view name, ParseName());
     NodeId elem = doc->CreateElement(name);
-    // Attributes.
+    // Attributes, set in one go: a repeated key keeps its first position
+    // and takes the last value, as SetAttribute would.
+    Attributes attrs;
     while (true) {
       SkipWhitespace();
-      if (AtEnd()) return Error("unterminated start tag <" + name);
+      if (AtEnd()) return Error("unterminated start tag <" + std::string(name));
       if (Peek() == '>' || LookingAt("/>")) break;
-      AXMLX_ASSIGN_OR_RETURN(std::string key, ParseName());
+      AXMLX_ASSIGN_OR_RETURN(std::string_view key, ParseName());
       SkipWhitespace();
       if (AtEnd() || Peek() != '=') return Error("expected '=' after attribute");
       Advance();
       SkipWhitespace();
       AXMLX_ASSIGN_OR_RETURN(std::string value, ParseQuotedValue());
-      AXMLX_RETURN_IF_ERROR(doc->SetAttribute(elem, key, value));
+      auto same = std::find_if(attrs.begin(), attrs.end(),
+                               [key](const auto& kv) { return kv.first == key; });
+      if (same != attrs.end()) {
+        same->second = std::move(value);
+      } else {
+        attrs.emplace_back(key, std::move(value));
+      }
+    }
+    if (!attrs.empty()) {
+      AXMLX_RETURN_IF_ERROR(doc->SetAttributes(elem, std::move(attrs)));
     }
     if (LookingAt("/>")) {
       Advance(2);
@@ -145,13 +177,15 @@ class ParserImpl {
     Advance();  // '>'
     // Children.
     while (true) {
-      if (AtEnd()) return Error("unterminated element <" + name + ">");
+      if (AtEnd()) {
+        return Error("unterminated element <" + std::string(name) + ">");
+      }
       if (LookingAt("</")) {
         Advance(2);
-        AXMLX_ASSIGN_OR_RETURN(std::string close, ParseName());
+        AXMLX_ASSIGN_OR_RETURN(std::string_view close, ParseName());
         if (close != name) {
-          return Error("mismatched close tag </" + close + "> for <" + name +
-                       ">");
+          return Error("mismatched close tag </" + std::string(close) +
+                       "> for <" + std::string(name) + ">");
         }
         SkipWhitespace();
         if (AtEnd() || Peek() != '>') return Error("expected '>'");
@@ -181,13 +215,21 @@ class ParserImpl {
       }
       // Character data up to the next '<'.
       size_t start = pos_;
-      while (!AtEnd() && Peek() != '<') Advance();
+      AdvanceTo('<');
       std::string_view raw = input_.substr(start, pos_ - start);
-      std::string text = XmlUnescape(raw);
-      if (!options_.keep_whitespace_text) {
-        std::string trimmed{StripWhitespace(text)};
-        if (trimmed.empty()) continue;
-        text = std::move(trimmed);
+      std::string text;
+      if (raw.find('&') == std::string_view::npos) {
+        // Nothing to unescape: trim the view and copy once.
+        if (!options_.keep_whitespace_text) raw = StripWhitespace(raw);
+        if (raw.empty() && !options_.keep_whitespace_text) continue;
+        text.assign(raw);
+      } else {
+        text = XmlUnescape(raw);
+        if (!options_.keep_whitespace_text) {
+          std::string trimmed{StripWhitespace(text)};
+          if (trimmed.empty()) continue;
+          text = std::move(trimmed);
+        }
       }
       NodeId tn = doc->CreateText(text);
       AXMLX_RETURN_IF_ERROR(doc->AppendChild(elem, tn));

@@ -171,6 +171,32 @@ TEST_P(DiffSeeds, RandomEditScriptsConverge) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffSeeds, ::testing::Range<uint64_t>(1, 21));
 
+TEST(DocumentDiff, SetAttributesIsVersioned) {
+  // An attribute-only change replayed by ApplyDiff must go through a
+  // recorded mutator: a snapshot taken before the diff keeps reading the
+  // old attributes, and the document's mutation counter moves.
+  Document doc("Root");
+  NodeId item = AddElement(&doc, doc.root(), "item");
+  ASSERT_TRUE(doc.SetAttribute(item, "state", "old").ok());
+  auto target = doc.Clone();
+  ASSERT_TRUE(target->SetAttribute(item, "state", "new").ok());
+  auto diff = ComputeDiff(doc, *target);
+  ASSERT_TRUE(diff.ok()) << diff.status();
+  ASSERT_EQ(diff->size(), 1u);
+  ASSERT_EQ(diff->ops[0].kind, DiffOp::Kind::kSetAttributes);
+
+  doc.EnableVersioning();
+  const ReadView snapshot{doc.version(), /*writer=*/0, /*active=*/true};
+  const uint64_t mutations = doc.mutation_count();
+  ASSERT_TRUE(ApplyDiff(&doc, *diff).ok());
+  EXPECT_EQ(*doc.Find(item)->FindAttribute("state"), "new");
+  const Node* seen = doc.FindAt(item, snapshot);
+  ASSERT_NE(seen, nullptr);
+  ASSERT_NE(seen->FindAttribute("state"), nullptr);
+  EXPECT_EQ(*seen->FindAttribute("state"), "old");
+  EXPECT_GT(doc.mutation_count(), mutations);
+}
+
 }  // namespace
 }  // namespace axmlx::xml
 

@@ -557,6 +557,47 @@ void Document::FreeNode(NodeId id) {
   EXPECT_TRUE(r6.empty()) << FormatFindings(r6);
 }
 
+TEST(LintTest, R6FlagsFindMutableWriteOutsideDocument) {
+  std::vector<SourceFile> files = CleanTree();
+  files.push_back({"xml/diff.cc", R"cc(#include "xml/document.h"
+namespace axmlx::xml {
+Status ApplyAttrs(Document* doc, NodeId id, const Attrs& attrs) {
+  Node* node = doc->FindMutable(id);
+  node->attributes = attrs;
+  return Status::Ok();
+}
+}  // namespace axmlx::xml
+)cc"});
+  const std::vector<Finding> r6 = OfRule(RunLint(files), "R6");
+  ASSERT_EQ(r6.size(), 1u) << FormatFindings(r6);
+  EXPECT_EQ(r6[0].file, "xml/diff.cc");
+  EXPECT_EQ(r6[0].line, 4);
+  EXPECT_NE(r6[0].message.find("FindMutable"), std::string::npos);
+}
+
+TEST(LintTest, R6AllowsMutatorCallsAndJustifiedFreshDocumentWrites) {
+  std::vector<SourceFile> files = CleanTree();
+  files.push_back({"xml/diff.cc", R"cc(#include "xml/document.h"
+namespace axmlx::xml {
+Status ApplyAttrs(Document* doc, NodeId id, const Attrs& attrs) {
+  return doc->SetAttributes(id, attrs);
+}
+}  // namespace axmlx::xml
+)cc"});
+  files.push_back({"xml/parser.cc", R"cc(#include "xml/document.h"
+namespace axmlx::xml {
+void Splice(Document* fresh, NodeId c) {
+  // Nobody else has seen `fresh` yet. lint:allow(R6)
+  fresh->FindMutable(c)->parent = kNullNode;
+}
+}  // namespace axmlx::xml
+)cc"});
+  // The class's own files define and use FindMutable freely.
+  files.push_back({"xml/document.cc", kCleanDocumentCc});
+  const std::vector<Finding> r6 = OfRule(RunLint(files), "R6");
+  EXPECT_TRUE(r6.empty()) << FormatFindings(r6);
+}
+
 // --- R7: determinism -------------------------------------------------------
 
 TEST(LintTest, R7FlagsWallClockAndUnseededRandomness) {

@@ -392,6 +392,96 @@ TEST(SlabStorage, PointersStayValidAcrossGrowth) {
   EXPECT_GE(doc.storage_stats().pages_allocated, 4);
 }
 
+TEST(SlabStorage, SmallFirstPagesKeepPointersAcrossGrowth) {
+  // Pages grow 8, 8, 16, ..., 256, then 512 slots. Hold a pointer into
+  // every page as it appears; none may move while the slab grows to 5k.
+  Document doc("r");
+  std::vector<std::pair<NodeId, const Node*>> held = {
+      {doc.root(), doc.Find(doc.root())}};
+  int64_t pages = doc.storage_stats().pages_allocated;
+  EXPECT_EQ(pages, 1);
+  for (int i = 1; i < 5000; ++i) {
+    NodeId id = doc.CreateElement("n" + std::to_string(i));
+    ASSERT_TRUE(doc.AppendChild(doc.root(), id).ok());
+    if (doc.storage_stats().pages_allocated != pages) {
+      pages = doc.storage_stats().pages_allocated;
+      held.emplace_back(id, doc.Find(id));
+    }
+  }
+  // 7 pages below slot 512, then one per 512 slots: 5000 slots -> 16.
+  EXPECT_EQ(pages, 16);
+  EXPECT_EQ(held.size(), 16u);
+  for (const auto& [id, ptr] : held) {
+    EXPECT_EQ(doc.Find(id), ptr) << id;
+    EXPECT_EQ(ptr->id, id);
+  }
+}
+
+TEST(SlabStorage, CloneMatchesAtEveryPageBoundary) {
+  // Page boundaries fall at slot counts 8, 16, 32, ..., 512, then every
+  // 512: clone just below, at and just above each one.
+  std::vector<size_t> sizes;
+  for (size_t b = 8; b <= 2048; b = b < 512 ? b * 2 : b + 512) {
+    sizes.insert(sizes.end(), {b - 1, b, b + 1});
+  }
+  Document doc("r");
+  for (size_t size : sizes) {
+    // One node per slot (nothing freed), so size() is the slot count.
+    while (doc.size() < size) {
+      if (doc.size() % 2 == 0) {
+        AddElement(&doc, doc.root(), "n");
+      } else {
+        AddText(&doc, doc.root(), std::to_string(doc.size()));
+      }
+    }
+    std::unique_ptr<Document> copy = doc.Clone();
+    ASSERT_EQ(copy->size(), doc.size());
+    ASSERT_EQ(copy->next_id(), doc.next_id());
+    for (NodeId id = 1; id < doc.next_id(); ++id) {
+      const Node* a = doc.Find(id);
+      const Node* b = copy->Find(id);
+      ASSERT_EQ(a == nullptr, b == nullptr) << id;
+      if (a == nullptr) continue;
+      ASSERT_EQ(a->name, b->name);
+      ASSERT_EQ(a->text, b->text);
+      ASSERT_EQ(a->children, b->children);
+      ASSERT_NE(a, b);
+    }
+    ASSERT_EQ(copy->Serialize(), doc.Serialize()) << size;
+    // The copy keeps allocating correctly past the copied high-water mark.
+    AddTextElement(copy.get(), copy->root(), "more", "x");
+    ASSERT_EQ(copy->size(), doc.size() + 2);
+  }
+}
+
+TEST(SlabStorage, FreeListReusesSlotsAcrossSmallPages) {
+  Document doc("r");
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 40; ++i) ids.push_back(AddElement(&doc, doc.root(), "n"));
+  const int64_t pages = doc.storage_stats().pages_allocated;
+  EXPECT_EQ(pages, 4);  // 41 slots: pages of 8, 8, 16, 32
+  // Free slots spread over pages 0-3, then allocate the same number again.
+  std::vector<NodeId> freed;
+  for (size_t i = 1; i < ids.size(); i += 4) {
+    ASSERT_TRUE(doc.RemoveSubtree(ids[i]).ok());
+    freed.push_back(ids[i]);
+  }
+  const int64_t reused = doc.storage_stats().slots_reused;
+  std::vector<NodeId> fresh;
+  for (size_t i = 0; i < freed.size(); ++i) {
+    fresh.push_back(AddTextElement(&doc, doc.root(), "m", std::to_string(i)));
+  }
+  // 10 slots come from the free list, 10 more fit in the 32-slot page.
+  EXPECT_EQ(doc.storage_stats().pages_allocated, pages);
+  EXPECT_GE(doc.storage_stats().slots_reused - reused,
+            static_cast<int64_t>(freed.size()));
+  for (NodeId id : freed) EXPECT_EQ(doc.Find(id), nullptr);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(doc.TextContent(fresh[i]), std::to_string(i));
+  }
+  EXPECT_EQ(doc.size(), 1 + ids.size() - freed.size() + 2 * fresh.size());
+}
+
 TEST(SlabStorage, InternedNamesAndTagIndexSurviveRename) {
   Document doc("r");
   NodeId a = AddElement(&doc, doc.root(), "alpha");

@@ -1066,6 +1066,28 @@ void CheckVersioningDiscipline(const Facts& facts,
   }
 }
 
+/// R6, outside the class: a FindMutable write anywhere but xml::Document's
+/// own files bypasses RecordVersion, so MVCC snapshots and delta replica
+/// sync both miss it. Writes into a document no one else has seen yet
+/// carry lint:allow(R6) with the reason.
+void CheckFindMutableOutsideDocument(const std::vector<File>& files,
+                                     std::vector<Finding>* findings) {
+  for (const File& f : files) {
+    if (EndsWith(f.src->path, "xml/document.cc") ||
+        EndsWith(f.src->path, "xml/document.h")) {
+      continue;
+    }
+    const std::vector<Token>& toks = f.toks;
+    for (size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].text != "FindMutable" || !TokIs(toks, i + 1, "(")) continue;
+      Report(findings, f, "R6", toks[i].pos,
+             "FindMutable outside xml::Document writes node state without a "
+             "version chain entry — use a Document mutator, or justify a "
+             "write into an unshared document with lint:allow(R6)");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // R7: determinism — no wall clocks, no unseeded randomness, no hash-order
 // iteration. Seeded interleavings are the differential oracle for the
@@ -1470,6 +1492,7 @@ std::vector<Finding> RunLint(const std::vector<SourceFile>& files) {
   CheckHeaderHygiene(prepared, &findings);
   CheckAsserts(prepared, &findings);
   CheckVersioningDiscipline(facts, &findings);
+  CheckFindMutableOutsideDocument(prepared, &findings);
   CheckDeterminism(prepared, facts, &findings);
   CheckWalGrammar(facts, &findings);
   CheckThreadAnnotations(prepared, &findings);

@@ -58,7 +58,11 @@
 ///      calling RecordVersion/NewNode directly or by delegating to another
 ///      Document member that does (computed as a fixpoint over the
 ///      intra-class call graph). A mutator the rule cannot see through is
-///      exempted with lint:allow(R6) and a justification.
+///      exempted with lint:allow(R6) and a justification. Outside
+///      xml/document.{h,cc}, every FindMutable call is flagged: such a
+///      write bypasses RecordVersion, so snapshots and delta replica sync
+///      miss it. Writes into a document nobody else has seen yet (the
+///      parser's splice) carry lint:allow(R6) with the reason.
 ///  R7  determinism: no wall-clock time (std::chrono system/steady/
 ///      high_resolution clocks, gettimeofday, clock_gettime), no unseeded
 ///      randomness (rand, srand, *rand48, std::random_device), and no

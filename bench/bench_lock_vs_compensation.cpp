@@ -129,7 +129,8 @@ PeerRunResult RunOnRealPeers(bool use_locking, int n_txns,
                            }
                          });
   }
-  result.makespan = repo.network().RunUntilQuiescent();
+  repo.network().RunUntilQuiescent();
+  result.makespan = repo.network().now();
   return result;
 }
 

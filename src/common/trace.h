@@ -2,8 +2,9 @@
 #define AXMLX_COMMON_TRACE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace axmlx {
@@ -41,23 +42,22 @@ struct TraceEvent {
 
 /// Append-only event trace shared by the simulator components. Not
 /// thread-safe; the discrete-event simulator is single-threaded by design.
+///
+/// Storage is compact because a repository keeps its trace for its whole
+/// life, about a hundred events per transaction: each event is a time plus
+/// three indices into one table of distinct strings. Actors, kinds and most
+/// details ("INVOKE -> P01") repeat from transaction to transaction, so the
+/// table stays small while the event log grows by 24 bytes an event.
 class Trace {
  public:
-  void Add(int64_t time, std::string actor, std::string kind,
-           std::string detail) {
-    ++kind_counts_[kind];
-    events_.push_back({time, std::move(actor), std::move(kind),
-                       std::move(detail)});
-  }
+  void Add(int64_t time, std::string_view actor, std::string_view kind,
+           std::string_view detail);
 
-  const std::vector<TraceEvent>& events() const { return events_; }
-  void Clear() {
-    events_.clear();
-    kind_counts_.clear();
-  }
+  /// The events in order, as owned copies.
+  std::vector<TraceEvent> events() const;
+  void Clear();
 
-  /// Returns the number of events whose `kind` matches exactly. O(log k) in
-  /// the number of distinct kinds — benches call this per iteration.
+  /// Returns the number of events whose `kind` matches exactly.
   int CountKind(const std::string& kind) const;
 
   /// Renders the trace as one line per event, for example output and tests.
@@ -76,8 +76,23 @@ class Trace {
   std::string ToJsonl() const;
 
  private:
-  std::vector<TraceEvent> events_;
-  std::map<std::string, int> kind_counts_;  ///< Maintained by Add/Clear.
+  struct Event {
+    int64_t time;
+    uint32_t actor;
+    uint32_t kind;
+    uint32_t detail;
+  };
+
+  /// Index of `s` in strings_, adding it on first use.
+  uint32_t Intern(std::string_view s);
+  const std::string& Str(uint32_t index) const { return *strings_[index]; }
+
+  std::vector<Event> events_;
+  /// Distinct strings; the keys of symbol_index_ own them (node-based, so
+  /// the pointers stay valid as the table grows).
+  std::vector<const std::string*> strings_;
+  std::unordered_map<std::string, uint32_t> symbol_index_;
+  std::vector<int> kind_counts_;  ///< By string index; maintained by Add.
 };
 
 }  // namespace axmlx

@@ -1,9 +1,9 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "obs/json.h"
@@ -60,11 +60,16 @@ std::string BuildForensicDump(const FlightRecorderSet& recorders,
                               const SpanTracker* spans) {
   // Involved peers: the focal transaction's span participants when known
   // (the paper's abort cascade names exactly these), else every recorder.
+  // Span context: the focal transaction's full tree when known, else
+  // whatever was still open (in flight at the failure point).
+  std::vector<SpanRecord> context;
+  if (spans != nullptr) {
+    context = !options.txn.empty() ? spans->SpansOf(options.txn)
+                                   : spans->OpenSpans();
+  }
   std::set<std::string> involved;
-  if (!options.txn.empty() && spans != nullptr) {
-    for (const SpanRecord& s : spans->spans()) {
-      if (s.txn == options.txn) involved.insert(s.peer);
-    }
+  if (!options.txn.empty()) {
+    for (const SpanRecord& s : context) involved.insert(s.peer);
   }
   if (involved.empty()) {
     for (const auto& [peer, rec] : recorders.recorders()) involved.insert(peer);
@@ -93,44 +98,67 @@ std::string BuildForensicDump(const FlightRecorderSet& recorders,
            std::tie(b.event->time, b.event->seq);
   });
 
-  std::ostringstream os;
-  os << "{\"schema\":\"axmlx-forensics-v1\"";
-  os << ",\"reason\":\"" << JsonEscape(options.reason) << "\"";
-  os << ",\"peer\":\"" << JsonEscape(options.peer) << "\"";
-  os << ",\"txn\":\"" << JsonEscape(options.txn) << "\"";
-  os << ",\"time\":" << options.time;
-  os << ",\"last_n\":" << options.last_n;
-  os << ",\n\"peers\":[";
+  // Built by appending: a dump runs on every aborted transaction and holds
+  // a few hundred events.
+  std::string out;
+  out.reserve(256 + merged.size() * 112);
+  const auto append_int = [&out](auto value) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  const auto append_str = [&out](std::string_view value) {
+    out.push_back('"');
+    AppendJsonEscaped(value, &out);
+    out.push_back('"');
+  };
+  out += "{\"schema\":\"axmlx-forensics-v1\"";
+  out += ",\"reason\":";
+  append_str(options.reason);
+  out += ",\"peer\":";
+  append_str(options.peer);
+  out += ",\"txn\":";
+  append_str(options.txn);
+  out += ",\"time\":";
+  append_int(options.time);
+  out += ",\"last_n\":";
+  append_int(options.last_n);
+  out += ",\n\"peers\":[";
   bool first_peer = true;
   for (const std::string& peer : involved) {
-    if (!first_peer) os << ",";
+    if (!first_peer) out += ",";
     first_peer = false;
-    os << "\"" << JsonEscape(peer) << "\"";
+    append_str(peer);
   }
-  os << "],\n\"events\":[";
+  out += "],\n\"events\":[";
   for (size_t i = 0; i < merged.size(); ++i) {
     const FlightEvent& e = *merged[i].event;
-    if (i != 0) os << ",";
-    os << "\n{\"time\":" << e.time << ",\"seq\":" << e.seq << ",\"peer\":\""
-       << JsonEscape(*merged[i].peer) << "\",\"kind\":\"" << JsonEscape(e.kind)
-       << "\",\"span\":" << e.span << ",\"what\":\"" << JsonEscape(e.what)
-       << "\",\"arg\":" << e.arg << "}";
+    if (i != 0) out += ",";
+    out += "\n{\"time\":";
+    append_int(e.time);
+    out += ",\"seq\":";
+    append_int(e.seq);
+    out += ",\"peer\":";
+    append_str(*merged[i].peer);
+    out += ",\"kind\":";
+    append_str(e.kind);
+    out += ",\"span\":";
+    append_int(e.span);
+    out += ",\"what\":";
+    append_str(e.what);
+    out += ",\"arg\":";
+    append_int(e.arg);
+    out += "}";
   }
-  os << "],\n\"spans\":[";
+  out += "],\n\"spans\":[";
   bool first_span = true;
-  if (spans != nullptr) {
-    // Span context: the focal transaction's full tree when known, else
-    // whatever was still open (in flight at the failure point).
-    for (const SpanRecord& s : spans->spans()) {
-      bool keep = !options.txn.empty() ? s.txn == options.txn : s.end < 0;
-      if (!keep) continue;
-      if (!first_span) os << ",";
-      first_span = false;
-      os << "\n" << SpanToJson(s);
-    }
+  for (const SpanRecord& s : context) {
+    if (!first_span) out += ",";
+    first_span = false;
+    out += "\n";
+    out += SpanToJson(s);
   }
-  os << "]}\n";
-  return os.str();
+  out += "]}\n";
+  return out;
 }
 
 }  // namespace axmlx::obs

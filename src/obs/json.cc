@@ -9,35 +9,39 @@ namespace axmlx::obs {
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
+  AppendJsonEscaped(s, &out);
+  return out;
+}
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          *out += buf;
         } else {
-          out += c;
+          *out += c;
         }
     }
   }
-  return out;
 }
 
 const JsonValue* JsonValue::Find(const std::string& key) const {

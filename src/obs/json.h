@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,9 @@ namespace axmlx::obs {
 /// Escapes `s` for embedding inside a JSON string literal (surrounding
 /// quotes are the caller's job). Control characters become \uXXXX.
 std::string JsonEscape(const std::string& s);
+
+/// JsonEscape appending into `out` (no temporary per field).
+void AppendJsonEscaped(std::string_view s, std::string* out);
 
 /// Minimal JSON document model. Writer-side code (metrics, spans, bench
 /// reports) builds JSON by concatenation with JsonEscape; this parser exists

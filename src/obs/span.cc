@@ -15,55 +15,90 @@ void SpanTracker::AttachMetrics(MetricsRegistry* metrics) {
                          : nullptr;
 }
 
+uint32_t SpanTracker::Intern(const std::string& s) {
+  auto [it, inserted] = symbol_index_.try_emplace(
+      s, static_cast<uint32_t>(strings_.size()));
+  if (inserted) strings_.push_back(&it->first);
+  return it->second;
+}
+
 uint64_t SpanTracker::OpenSpan(const std::string& txn, const std::string& peer,
                                const std::string& kind,
                                uint64_t parent_span_id, int64_t start,
                                const std::string& detail) {
-  SpanRecord rec;
-  rec.txn = txn;
-  rec.span_id = next_id_++;
-  rec.parent_span_id = parent_span_id;
-  rec.peer = peer;
-  rec.kind = kind;
-  rec.detail = detail;
-  rec.start = start;
-  index_[rec.span_id] = spans_.size();
-  spans_.push_back(std::move(rec));
-  const SpanRecord& stored = spans_.back();
+  const uint32_t empty = Intern(std::string());
+  spans_.push_back({parent_span_id, start, /*end=*/-1, Intern(txn),
+                    Intern(peer), Intern(kind), Intern(detail), empty, empty});
+  const uint64_t span_id = spans_.size();
   if (recorders_ != nullptr) {
-    recorders_->ForPeer(stored.peer)->Record(
-        kEvFrSpanOpen, stored.kind, stored.span_id,
-        static_cast<int64_t>(stored.parent_span_id));
+    recorders_->ForPeer(peer)->Record(kEvFrSpanOpen, kind, span_id,
+                                      static_cast<int64_t>(parent_span_id));
   }
-  return stored.span_id;
+  return span_id;
 }
 
 void SpanTracker::CloseSpan(uint64_t span_id, int64_t end,
                             const std::string& outcome,
                             const std::string& fault) {
-  auto it = index_.find(span_id);
-  if (it == index_.end()) {
+  if (span_id == 0 || span_id > spans_.size() ||
+      spans_[span_id - 1].end >= 0) {  // unknown, or already closed
     if (close_unknown_ != nullptr) ++*close_unknown_;
     return;
   }
-  SpanRecord& rec = spans_[it->second];
-  if (rec.end >= 0) {  // already closed; first close wins
-    if (close_unknown_ != nullptr) ++*close_unknown_;
-    return;
-  }
-  rec.end = end;
-  rec.outcome = outcome;
-  rec.fault = fault;
+  Span& span = spans_[span_id - 1];
+  span.end = end;
+  span.outcome = Intern(outcome);
+  span.fault = Intern(fault);
   if (recorders_ != nullptr) {
-    recorders_->ForPeer(rec.peer)->Record(kEvFrSpanClose, rec.outcome,
-                                          rec.span_id);
+    recorders_->ForPeer(Str(span.peer))
+        ->Record(kEvFrSpanClose, outcome, span_id);
   }
 }
 
-const SpanRecord* SpanTracker::Find(uint64_t span_id) const {
-  auto it = index_.find(span_id);
-  if (it == index_.end()) return nullptr;
-  return &spans_[it->second];
+SpanRecord SpanTracker::ToRecord(size_t index) const {
+  const Span& span = spans_[index];
+  SpanRecord rec;
+  rec.txn = Str(span.txn);
+  rec.span_id = index + 1;
+  rec.parent_span_id = span.parent_span_id;
+  rec.peer = Str(span.peer);
+  rec.kind = Str(span.kind);
+  rec.detail = Str(span.detail);
+  rec.start = span.start;
+  rec.end = span.end;
+  rec.outcome = Str(span.outcome);
+  rec.fault = Str(span.fault);
+  return rec;
+}
+
+std::vector<SpanRecord> SpanTracker::spans() const {
+  std::vector<SpanRecord> out;
+  out.reserve(spans_.size());
+  for (size_t i = 0; i < spans_.size(); ++i) out.push_back(ToRecord(i));
+  return out;
+}
+
+std::vector<SpanRecord> SpanTracker::SpansOf(const std::string& txn) const {
+  std::vector<SpanRecord> out;
+  auto it = symbol_index_.find(txn);
+  if (it == symbol_index_.end()) return out;
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    if (spans_[i].txn == it->second) out.push_back(ToRecord(i));
+  }
+  return out;
+}
+
+std::vector<SpanRecord> SpanTracker::OpenSpans() const {
+  std::vector<SpanRecord> out;
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    if (spans_[i].end < 0) out.push_back(ToRecord(i));
+  }
+  return out;
+}
+
+std::optional<SpanRecord> SpanTracker::Find(uint64_t span_id) const {
+  if (span_id == 0 || span_id > spans_.size()) return std::nullopt;
+  return ToRecord(span_id - 1);
 }
 
 std::string SpanToJson(const SpanRecord& s) {
@@ -83,8 +118,8 @@ std::string SpanToJson(const SpanRecord& s) {
 
 std::string SpanTracker::ToJsonl() const {
   std::string out;
-  for (const SpanRecord& s : spans_) {
-    out += SpanToJson(s);
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    out += SpanToJson(ToRecord(i));
     out += '\n';
   }
   return out;
@@ -92,8 +127,8 @@ std::string SpanTracker::ToJsonl() const {
 
 void SpanTracker::Clear() {
   spans_.clear();
-  index_.clear();
-  next_id_ = 1;
+  strings_.clear();
+  symbol_index_.clear();
 }
 
 }  // namespace axmlx::obs

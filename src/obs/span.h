@@ -2,8 +2,9 @@
 #define AXMLX_OBS_SPAN_H_
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace axmlx::obs {
@@ -52,6 +53,13 @@ struct SpanRecord {
 /// Append-only span log with process-wide unique ids. One tracker is shared
 /// by every peer of a repository (the discrete-event simulator is
 /// single-threaded), which is what makes cross-peer parent links unambiguous.
+///
+/// A repository keeps its spans for its whole life (about twenty per
+/// transaction), so storage is compact: ids are dense (span n sits at
+/// index n - 1, no lookup map), and the six strings of a span are indices
+/// into one table of distinct strings — peers, kinds, services and
+/// outcomes repeat across transactions. Readers get owned SpanRecord
+/// copies.
 class SpanTracker {
  public:
   /// Opens a span and returns its id (never 0).
@@ -67,8 +75,13 @@ class SpanTracker {
   void CloseSpan(uint64_t span_id, int64_t end, const std::string& outcome,
                  const std::string& fault = std::string());
 
-  const std::vector<SpanRecord>& spans() const { return spans_; }
-  const SpanRecord* Find(uint64_t span_id) const;
+  /// Every span, in id order.
+  std::vector<SpanRecord> spans() const;
+  /// The spans of transaction `txn`, in id order.
+  std::vector<SpanRecord> SpansOf(const std::string& txn) const;
+  /// The spans still open, in id order.
+  std::vector<SpanRecord> OpenSpans() const;
+  std::optional<SpanRecord> Find(uint64_t span_id) const;
 
   /// One JSON object per line:
   /// {"txn":...,"span":N,"parent":N,"peer":...,"kind":...,"detail":...,
@@ -90,9 +103,22 @@ class SpanTracker {
   void Clear();
 
  private:
-  std::vector<SpanRecord> spans_;
-  std::map<uint64_t, size_t> index_;  ///< span_id -> index in spans_.
-  uint64_t next_id_ = 1;
+  struct Span {
+    uint64_t parent_span_id;
+    int64_t start;
+    int64_t end;  ///< -1 while open.
+    uint32_t txn, peer, kind, detail, outcome, fault;
+  };
+
+  uint32_t Intern(const std::string& s);
+  const std::string& Str(uint32_t index) const { return *strings_[index]; }
+  SpanRecord ToRecord(size_t index) const;
+
+  std::vector<Span> spans_;  ///< Span id n at index n - 1.
+  /// Distinct strings; the keys of symbol_index_ own them (node-based, so
+  /// the pointers stay valid as the table grows).
+  std::vector<const std::string*> strings_;
+  std::unordered_map<std::string, uint32_t> symbol_index_;
   FlightRecorderSet* recorders_ = nullptr;
   Counter* close_unknown_ = nullptr;  ///< obs.spans_close_unknown.
 };

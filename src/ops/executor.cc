@@ -40,7 +40,14 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
   if (op.location.empty()) {
     return InvalidArgument("operation has neither a location nor a target");
   }
-  AXMLX_ASSIGN_OR_RETURN(query::Query q, query::ParseQuery(op.location));
+  query::Query parsed;
+  const query::Query* location = &parsed;
+  if (eval_ctx_ != nullptr) {
+    AXMLX_ASSIGN_OR_RETURN(location, eval_ctx_->ParsedQuery(op.location));
+  } else {
+    AXMLX_ASSIGN_OR_RETURN(parsed, query::ParseQuery(op.location));
+  }
+  const query::Query& q = *location;
   // "The <location> query evaluation may involve service call
   // materializations, and as such, updates to the AXML document." (§3.1)
   axml::Materializer materializer(doc_, invoker_, &effect->edits);

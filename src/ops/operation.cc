@@ -1,10 +1,13 @@
 #include "ops/operation.h"
 
 #include <cstdlib>
-#include <sstream>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 #include "common/strings.h"
 #include "xml/builder.h"
+#include "xml/id_codec.h"
 #include "xml/parser.h"
 
 namespace axmlx::ops {
@@ -24,25 +27,152 @@ const char* ActionTypeName(ActionType type) {
 }
 
 std::string Operation::ToXml() const {
-  std::ostringstream os;
-  os << "<action type=\"" << ActionTypeName(type) << "\"";
+  std::string out;
+  out.reserve(64 + data_xml.size() + location.size());
+  out.append("<action type=\"").append(ActionTypeName(type)).push_back('"');
   if (target_node != xml::kNullNode) {
-    os << " targetNode=\"" << target_node << "\"";
+    out.append(" targetNode=\"").append(std::to_string(target_node));
+    out.push_back('"');
   }
-  if (has_position) os << " position=\"" << position << "\"";
-  if (anchor == Anchor::kBefore) os << " anchor=\"before\"";
-  if (anchor == Anchor::kAfter) os << " anchor=\"after\"";
-  if (eager) os << " eval=\"eager\"";
-  os << ">";
-  if (!data_xml.empty()) os << "<data>" << data_xml << "</data>";
+  if (has_position) {
+    out.append(" position=\"").append(std::to_string(position));
+    out.push_back('"');
+  }
+  if (anchor == Anchor::kBefore) out.append(" anchor=\"before\"");
+  if (anchor == Anchor::kAfter) out.append(" anchor=\"after\"");
+  if (eager) out.append(" eval=\"eager\"");
+  if (restore != nullptr) {
+    // The restored subtree's ids, so a replay re-attaches it exactly as the
+    // live run did (xml/id_codec.h). `data_xml` is its serialization.
+    std::vector<xml::NodeId> ids = xml::ExactIdsOf(*restore);
+    if (!ids.empty()) {
+      out.append(" ids=\"").append(xml::EncodeIdList(ids)).push_back('"');
+    }
+  }
+  out.push_back('>');
+  if (!data_xml.empty()) out.append("<data>").append(data_xml).append("</data>");
   if (!location.empty()) {
-    os << "<location>" << XmlEscape(location) << "</location>";
+    out.append("<location>");
+    AppendXmlEscaped(location, &out);
+    out.append("</location>");
   }
-  os << "</action>";
-  return os.str();
+  out.append("</action>");
+  return out;
 }
 
-Result<Operation> Operation::FromXml(const std::string& xml_text) {
+namespace {
+
+bool ParseActionType(std::string_view name, ActionType* type) {
+  if (name == "query") {
+    *type = ActionType::kQuery;
+  } else if (name == "insert") {
+    *type = ActionType::kInsert;
+  } else if (name == "delete") {
+    *type = ActionType::kDelete;
+  } else if (name == "replace") {
+    *type = ActionType::kReplace;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool ParseCount(std::string_view text, uint64_t* value) {
+  if (text.empty() || text.size() > 18) return false;
+  uint64_t v = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<uint64_t>(c - '0');
+  }
+  *value = v;
+  return true;
+}
+
+bool Consume(std::string_view* text, std::string_view prefix) {
+  if (text->substr(0, prefix.size()) != prefix) return false;
+  text->remove_prefix(prefix.size());
+  return true;
+}
+
+/// Attaches the restore subtree named by an `ids` attribute.
+Status AttachRestore(std::string_view id_list, Operation* op) {
+  AXMLX_ASSIGN_OR_RETURN(xml::DetachedSubtree subtree,
+                         xml::DecodeSubtree(op->data_xml, id_list));
+  op->restore = std::make_shared<const xml::DetachedSubtree>(
+      std::move(subtree));
+  return Status::Ok();
+}
+
+/// Decodes exactly the form ToXml writes, without building a Document:
+/// attributes in ToXml's order with plain values, then optional <data> and
+/// <location>. Returns false (leaving `op` unspecified) for any other
+/// spelling, which the general parser then handles. `ids` receives the
+/// `ids` attribute when present.
+bool ParseCanonical(std::string_view text, Operation* op,
+                    std::optional<std::string_view>* ids) {
+  if (!Consume(&text, "<action type=\"")) return false;
+  size_t quote = text.find('"');
+  if (quote == std::string_view::npos ||
+      !ParseActionType(text.substr(0, quote), &op->type)) {
+    return false;
+  }
+  text.remove_prefix(quote + 1);
+  while (Consume(&text, " ")) {
+    size_t eq = text.find("=\"");
+    if (eq == std::string_view::npos) return false;
+    std::string_view name = text.substr(0, eq);
+    text.remove_prefix(eq + 2);
+    quote = text.find('"');
+    if (quote == std::string_view::npos) return false;
+    std::string_view value = text.substr(0, quote);
+    text.remove_prefix(quote + 1);
+    uint64_t number = 0;
+    if (name == "targetNode" && ParseCount(value, &number)) {
+      op->target_node = number;
+    } else if (name == "position" && ParseCount(value, &number)) {
+      op->has_position = true;
+      op->position = number;
+    } else if (name == "anchor" && value == "before") {
+      op->anchor = Operation::Anchor::kBefore;
+    } else if (name == "anchor" && value == "after") {
+      op->anchor = Operation::Anchor::kAfter;
+    } else if (name == "eval" && value == "eager") {
+      op->eager = true;
+    } else if (name == "ids") {
+      *ids = value;
+    } else {
+      return false;
+    }
+  }
+  if (!Consume(&text, ">") || !EndsWith(text, "</action>")) return false;
+  text.remove_suffix(9);
+  if (EndsWith(text, "</location>")) {
+    size_t open = text.rfind("<location>");
+    if (open == std::string_view::npos) return false;
+    std::string_view escaped =
+        text.substr(open + 10, text.size() - open - 10 - 11);
+    if (escaped.find('<') != std::string_view::npos) return false;
+    op->location = std::string(StripWhitespace(XmlUnescape(escaped)));
+    text = text.substr(0, open);
+  }
+  if (text.empty()) return true;
+  if (!Consume(&text, "<data>") || !EndsWith(text, "</data>")) return false;
+  text.remove_suffix(7);
+  op->data_xml = std::string(text);
+  return true;
+}
+
+}  // namespace
+
+Result<Operation> Operation::FromXml(std::string_view xml_text) {
+  {
+    Operation op;
+    std::optional<std::string_view> ids;
+    if (ParseCanonical(xml_text, &op, &ids)) {
+      if (ids.has_value()) AXMLX_RETURN_IF_ERROR(AttachRestore(*ids, &op));
+      return op;
+    }
+  }
   AXMLX_ASSIGN_OR_RETURN(auto doc, xml::Parse(xml_text));
   const xml::Node* root = doc->Find(doc->root());
   if (root->name != "action") {
@@ -53,15 +183,7 @@ Result<Operation> Operation::FromXml(const std::string& xml_text) {
   if (type == nullptr) {
     return ParseError("Operation::FromXml: missing 'type' attribute");
   }
-  if (*type == "query") {
-    op.type = ActionType::kQuery;
-  } else if (*type == "insert") {
-    op.type = ActionType::kInsert;
-  } else if (*type == "delete") {
-    op.type = ActionType::kDelete;
-  } else if (*type == "replace") {
-    op.type = ActionType::kReplace;
-  } else {
+  if (!ParseActionType(*type, &op.type)) {
     return ParseError("Operation::FromXml: unknown action type '" + *type +
                       "'");
   }
@@ -94,6 +216,9 @@ Result<Operation> Operation::FromXml(const std::string& xml_text) {
       payload += doc->Serialize(c);
     }
     op.data_xml = payload;
+  }
+  if (const std::string* ids = root->FindAttribute("ids")) {
+    AXMLX_RETURN_IF_ERROR(AttachRestore(*ids, &op));
   }
   return op;
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "xml/document.h"
@@ -64,17 +65,21 @@ struct Operation {
   /// log: the deleted subtree with its original node ids. When present (and
   /// the target is direct) the executor re-attaches it id-preservingly, so
   /// chains of compensating operations that reference ids inside earlier
-  /// deleted subtrees stay valid. Not serialized by ToXml — a plan shipped
-  /// as XML degrades to fresh-id insertion of `data_xml`, which is the
-  /// paper's semantic (not physical) compensation.
+  /// deleted subtrees stay valid. ToXml writes it as an `ids` attribute
+  /// beside `data_xml` (its serialization; xml/id_codec.h), so a WAL replay
+  /// installs the compensation exactly as it ran. A subtree with no exact
+  /// text form (adjacent text nodes) is written without ids and replays as
+  /// fresh-id insertion of `data_xml`, the paper's semantic compensation.
   std::shared_ptr<const xml::DetachedSubtree> restore;
 
   /// Serializes to the paper's syntax:
   ///   <action type="delete"><location>Select ...</location></action>
   std::string ToXml() const;
 
-  /// Parses an `<action>` element (as produced by ToXml).
-  static Result<Operation> FromXml(const std::string& xml_text);
+  /// Parses an `<action>` element. ToXml's own output is decoded directly;
+  /// any other spelling goes through the XML parser. A malformed or
+  /// mismatched `ids` list is an error.
+  static Result<Operation> FromXml(std::string_view xml_text);
 };
 
 /// Convenience constructors.

@@ -384,11 +384,12 @@ void Network::RunUntil(Tick until) {
   if (timeline_ != nullptr) timeline_->SetNow(now_);
 }
 
-Tick Network::RunUntilQuiescent(Tick max_time) {
-  while (!queue_.empty() && queue_.top().time <= max_time) {
+bool Network::RunUntilQuiescent(Tick budget) {
+  const Tick limit = now_ + budget;
+  while (!queue_.empty() && queue_.top().time <= limit) {
     RunUntil(queue_.top().time);
   }
-  return now_;
+  return queue_.empty();
 }
 
 void Network::TraceEventf(const std::string& actor, const std::string& kind,

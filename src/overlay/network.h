@@ -193,9 +193,15 @@ class Network {
   /// Runs `fn` after `delay` ticks.
   void ScheduleAfter(Tick delay, std::function<void(Network*)> fn);
 
-  /// Processes events until the queue drains or `max_time` is reached.
-  /// Returns the simulation time after the run.
-  Tick RunUntilQuiescent(Tick max_time = 1'000'000);
+  /// Default RunUntilQuiescent budget: far beyond any protocol timer (a
+  /// transaction decides within a few thousand ticks even under faults).
+  static constexpr Tick kQuiescenceBudget = 1'000'000;
+
+  /// Processes events until the queue drains or `budget` ticks past now()
+  /// have elapsed. Returns true when the queue drained; false means the run
+  /// stopped at the budget with events still pending — a timer that keeps
+  /// rescheduling itself, which callers report as a harness error.
+  bool RunUntilQuiescent(Tick budget = kQuiescenceBudget);
 
   /// Advances through events with timestamps <= `until`.
   void RunUntil(Tick until);

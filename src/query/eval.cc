@@ -5,8 +5,19 @@
 #include <cmath>
 
 #include "common/strings.h"
+#include "query/parser.h"
 
 namespace axmlx::query {
+
+Result<const Query*> EvalContext::ParsedQuery(std::string_view text) {
+  auto it = parsed_queries.find(text);
+  if (it == parsed_queries.end()) {
+    AXMLX_ASSIGN_OR_RETURN(Query q, ParseQuery(text));
+    if (parsed_queries.size() >= kMaxParsedQueries) parsed_queries.clear();
+    it = parsed_queries.emplace(std::string(text), std::move(q)).first;
+  }
+  return &it->second;
+}
 
 bool IsServiceCallElement(const xml::Node& node) {
   return node.name_id == xml::kNameAxmlSc;

@@ -2,7 +2,10 @@
 #define AXMLX_QUERY_EVAL_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -83,6 +86,16 @@ struct EvalContext {
   std::unordered_map<xml::NodeId, std::string> text_cache;
   std::unordered_map<xml::NodeId, uint32_t> sibling_index_cache;
   std::vector<std::pair<std::vector<uint32_t>, xml::NodeId>> order_keys;
+
+  /// Parsed location queries by text, for callers that run the same few
+  /// locations over and over (a DurableStore journaling or replaying a
+  /// peer's operations). Holds at most kMaxParsedQueries; a full cache
+  /// starts over.
+  static constexpr size_t kMaxParsedQueries = 64;
+  std::map<std::string, Query, std::less<>> parsed_queries;
+
+  /// The parsed form of `text`, from parsed_queries or parsed now.
+  Result<const Query*> ParsedQuery(std::string_view text);
 
   /// Drops memoized per-document state (call after mutating the document).
   void InvalidateCaches() {

@@ -187,8 +187,13 @@ Result<size_t> AxmlRepository::ResyncFromReplica(const overlay::PeerId& peer) {
     const xml::Document* theirs = replica->repository().GetDocument(name);
     if (theirs == nullptr) continue;  // never replicated
     AXMLX_ASSIGN_OR_RETURN(xml::DocumentDiff diff,
-                           xml::ComputeDiff(*mine, *theirs));
-    AXMLX_RETURN_IF_ERROR(xml::ApplyDiff(mine, diff));
+                           xml::SyncDocument(mine, *theirs));
+    if (diff.ops.empty()) {
+      // Nothing to copy proves the two copies equal node for node: the
+      // peer's next push can ship only what changes from here on instead
+      // of a full copy.
+      mine->TrackSyncedReplica(*theirs);
+    }
     total += diff.NodesAffected();
   }
   return total;
@@ -210,7 +215,7 @@ Result<TxnOutcome> AxmlRepository::RunTransaction(
         outcome.status = std::move(status);
         outcome.duration = net->now() - start;  // time-to-decision
       }));
-  network_->RunUntilQuiescent();
+  outcome.budget_exhausted = !network_->RunUntilQuiescent();
   if (!outcome.decided) outcome.duration = network_->now() - start;
   outcome.messages = network_->stats().messages_sent - messages_before;
   if (!outcome.decided) {

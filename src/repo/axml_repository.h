@@ -65,6 +65,10 @@ struct TxnOutcome {
   overlay::Tick duration = 0;    ///< Submit-to-decision simulation time.
   int64_t messages = 0;          ///< Messages sent while it ran.
   bool decided = false;          ///< False = stuck (no commit and no abort).
+  /// The run stopped at the quiescence budget with events still pending
+  /// (Network::RunUntilQuiescent returned false): a harness failure, not a
+  /// protocol outcome.
+  bool budget_exhausted = false;
 };
 
 /// The full P2P AXML repository: a set of transactional peers on a

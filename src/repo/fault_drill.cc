@@ -405,6 +405,11 @@ Result<FaultDrillReport> FaultDrill::Run() {
     if (options_.debug) repo_->trace().Clear();
     AXMLX_ASSIGN_OR_RETURN(TxnOutcome outcome,
                            repo_->RunTransaction(origin_, txn, "S"));
+    // A run cut off by the quiescence budget left a timer spinning; the
+    // verdict below would blame the protocol for a harness liveness bug.
+    if (outcome.budget_exhausted) {
+      ++*metrics_.GetCounter(obs::kMetricDrillHarnessErrors);
+    }
     durations->Observe(outcome.duration);
     std::string verdict;
     if (!outcome.decided) {
@@ -425,7 +430,9 @@ Result<FaultDrillReport> FaultDrill::Run() {
     for (const overlay::PeerId& v : victims) {
       if (net->IsCrashed(v)) AXMLX_RETURN_IF_ERROR(RestartNow(v));
     }
-    net->RunUntilQuiescent();
+    if (!net->RunUntilQuiescent()) {
+      ++*metrics_.GetCounter(obs::kMetricDrillHarnessErrors);
+    }
 
     if (options_.force_violation && !tampered_ && committed_so_far_ > 0) {
       AXMLX_RETURN_IF_ERROR(TamperWorkerDocument());
@@ -479,6 +486,7 @@ Result<FaultDrillReport> FaultDrill::Run() {
   report.harness_errors = static_cast<int>(
       metrics_.GetCounter(obs::kMetricDrillHarnessErrors)->value());
   report.net = net->stats();
+  report.final_time = net->now();
   report.faults = plan_->stats();
   report.journal_errors =
       metrics_.GetCounter(obs::kMetricDrillJournalErrors)->value();

@@ -105,7 +105,10 @@ struct FaultDrillReport {
   size_t pending_control = 0;  ///< Unacked control messages at drill end.
 
   int64_t journal_errors = 0;  ///< WAL ops that failed (store diverged).
-  int harness_errors = 0;      ///< Scheduled crash/restart steps refused.
+  /// Scheduled crash/restart steps refused, plus quiescence runs that hit
+  /// their budget with events still pending (a leaked timer).
+  int harness_errors = 0;
+  overlay::Tick final_time = 0;  ///< Simulated clock when the drill ended.
 
   overlay::Network::Stats net;
   overlay::FaultPlan::Stats faults;

@@ -49,8 +49,8 @@ std::string BuildStatsXml(AxmlRepository* repo,
   }
 
   os << "<openspans>";
-  for (const obs::SpanRecord& s : repo->spans().spans()) {
-    if (s.end >= 0 || s.peer != peer_id) continue;
+  for (const obs::SpanRecord& s : repo->spans().OpenSpans()) {
+    if (s.peer != peer_id) continue;
     os << "<span txn=\"" << XmlEscape(s.txn) << "\" kind=\""
        << XmlEscape(s.kind) << "\" id=\"" << s.span_id << "\"/>";
   }

@@ -13,6 +13,7 @@
 #include "compensation/compensation.h"
 #include "obs/metric_names.h"
 #include "runtime/job_queue.h"
+#include "xml/id_codec.h"
 #include "xml/parser.h"
 
 namespace axmlx::storage {
@@ -98,6 +99,40 @@ bool FileExists(const std::string& path) {
 
 }  // namespace
 
+std::string EncodeSnapshot(const xml::Document& doc) {
+  std::vector<xml::NodeId> ids = xml::ExactIdsOf(doc);
+  std::string out;
+  if (!ids.empty()) {
+    out = std::string(kSnapshotHeader) + " next=" +
+          std::to_string(doc.next_id()) + " " + xml::EncodeIdList(ids) + "\n";
+  }
+  out += doc.Serialize();
+  return out;
+}
+
+Result<std::unique_ptr<xml::Document>> DecodeSnapshot(std::string_view text) {
+  if (text.substr(0, sizeof(kSnapshotHeader) - 1) != kSnapshotHeader) {
+    return xml::Parse(text);  // a snapshot written before ids were kept
+  }
+  const size_t eol = text.find('\n');
+  std::string_view header = text.substr(0, eol);
+  header.remove_prefix(sizeof(kSnapshotHeader) - 1);
+  const size_t sp = header.find(' ', 1);
+  if (eol == std::string_view::npos ||
+      header.substr(0, 6) != " next=" || sp == std::string_view::npos) {
+    return ParseError("malformed snapshot header");
+  }
+  xml::NodeId next_id = 0;
+  for (char c : header.substr(6, sp - 6)) {
+    if (c < '0' || c > '9' || next_id > xml::kMaxExactId) {
+      return ParseError("malformed snapshot next id");
+    }
+    next_id = next_id * 10 + static_cast<xml::NodeId>(c - '0');
+  }
+  return xml::DecodeDocument(text.substr(eol + 1), header.substr(sp + 1),
+                             next_id);
+}
+
 void EncodeWalPayloadTo(const std::string& raw, std::string* out) {
   out->reserve(out->size() + raw.size());
   // Copy runs of ordinary characters in one append each.
@@ -130,31 +165,32 @@ std::string EncodeWalPayload(const std::string& raw) {
   return out;
 }
 
-std::string DecodeWalPayload(const std::string& encoded) {
+std::string DecodeWalPayload(std::string_view encoded) {
   std::string out;
   out.reserve(encoded.size());
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    if (encoded[i] == '%' && i + 2 < encoded.size() + 1 &&
-        i + 2 < encoded.size()) {
-      std::string hex = encoded.substr(i + 1, 2);
-      if (hex == "25") {
-        out += '%';
-        i += 2;
-        continue;
-      }
-      if (hex == "0A") {
-        out += '\n';
-        i += 2;
-        continue;
-      }
-      if (hex == "0D") {
-        out += '\r';
-        i += 2;
-        continue;
-      }
+  // Copy runs between escapes in one append each; only %25, %0A and %0D
+  // are escapes, any other '%' is literal.
+  size_t run = 0;
+  for (size_t i = encoded.find('%'); i != std::string_view::npos;
+       i = encoded.find('%', i + 1)) {
+    if (i + 2 >= encoded.size()) break;
+    const std::string_view code = encoded.substr(i + 1, 2);
+    char c;
+    if (code == "25") {
+      c = '%';
+    } else if (code == "0A") {
+      c = '\n';
+    } else if (code == "0D") {
+      c = '\r';
+    } else {
+      continue;
     }
-    out += encoded[i];
+    out.append(encoded, run, i - run);
+    out.push_back(c);
+    run = i + 3;
+    i += 2;
   }
+  out.append(encoded, run, encoded.size() - run);
   return out;
 }
 
@@ -251,9 +287,9 @@ Status DurableStore::LoadSnapshots() {
         continue;
       }
     }
-    AXMLX_ASSIGN_OR_RETURN(std::string xml_text,
+    AXMLX_ASSIGN_OR_RETURN(std::string text,
                            ReadFile(SnapshotPath(directory_, epoch_, name)));
-    AXMLX_ASSIGN_OR_RETURN(auto doc, xml::Parse(xml_text));
+    AXMLX_ASSIGN_OR_RETURN(auto doc, DecodeSnapshot(text));
     documents_[name] = std::move(doc);
   }
   return Status::Ok();
@@ -263,24 +299,28 @@ Status DurableStore::ReplayWal() {
   if (!FileExists(WalPath(directory_, epoch_))) return Status::Ok();
   AXMLX_ASSIGN_OR_RETURN(std::string wal,
                          ReadFile(WalPath(directory_, epoch_)));
-  std::istringstream lines(wal);
-  std::string line;
-  while (std::getline(lines, line)) {
+  // Records are parsed as views into the file; only payloads that carry
+  // escapes are copied out.
+  const std::string_view text = wal;
+  for (size_t begin = 0, eol; begin < text.size(); begin = eol + 1) {
+    eol = text.find('\n', begin);
+    if (eol == std::string_view::npos) eol = text.size();
+    const std::string_view line = text.substr(begin, eol - begin);
     if (line.empty()) continue;
-    size_t sp1 = line.find(' ');
-    std::string kind = line.substr(0, sp1);
+    const size_t sp1 = line.find(' ');
+    const std::string_view kind = line.substr(0, sp1);
+    const std::string_view rest =
+        sp1 == std::string_view::npos ? std::string_view() : line.substr(sp1 + 1);
     if (kind == "BEGIN") {
       // "BEGIN <txn> <version>"; legacy form has no version.
-      std::string rest = line.substr(sp1 + 1);
       size_t sp2 = rest.find(' ');
-      std::string txn = rest.substr(0, sp2);
-      TxnState& state = active_txns_[txn];
-      if (sp2 != std::string::npos) {
-        state.begin_version = std::stoull(rest.substr(sp2 + 1));
+      TxnState& state = active_txns_[std::string(rest.substr(0, sp2))];
+      if (sp2 != std::string_view::npos) {
+        state.begin_version = std::stoull(std::string(rest.substr(sp2 + 1)));
       }
     } else if (kind == "RESOLVED") {
       // "RESOLVED <txn> <C|A> <ops> <version>"; legacy form is just <txn>.
-      std::istringstream fields(line.substr(sp1 + 1));
+      std::istringstream fields{std::string(rest)};
       std::string txn, outcome, ops_text, version_text;
       fields >> txn >> outcome >> ops_text >> version_text;
       if (!outcome.empty()) {
@@ -304,30 +344,35 @@ Status DurableStore::ReplayWal() {
       }
       active_txns_.erase(txn);
     } else if (kind == "DEDUP") {
-      seen_dedup_keys_.push_back(DecodeWalPayload(line.substr(sp1 + 1)));
+      seen_dedup_keys_.push_back(DecodeWalPayload(rest));
     } else if (kind == "EXT") {
-      size_t sp2 = line.find(' ', sp1 + 1);
-      if (sp2 == std::string::npos) {
-        return Internal("malformed WAL EXT record: " + line);
+      size_t sp2 = rest.find(' ');
+      if (sp2 == std::string_view::npos) {
+        return Internal("malformed WAL EXT record: " + std::string(line));
       }
-      externals_[line.substr(sp1 + 1, sp2 - sp1 - 1)] =
-          DecodeWalPayload(line.substr(sp2 + 1));
+      externals_[std::string(rest.substr(0, sp2))] =
+          DecodeWalPayload(rest.substr(sp2 + 1));
     } else if (kind == "NEWDOC") {
-      std::string xml_text = DecodeWalPayload(line.substr(sp1 + 1));
+      std::string decoded;
+      std::string_view xml_text = rest;
+      if (rest.find('%') != std::string_view::npos) {
+        decoded = DecodeWalPayload(rest);
+        xml_text = decoded;
+      }
       AXMLX_ASSIGN_OR_RETURN(auto doc, xml::Parse(xml_text));
       std::string name = doc->Find(doc->root())->name;
       if (documents_.count(name) == 0) documents_[name] = std::move(doc);
     } else if (kind == "OP") {
-      size_t sp2 = line.find(' ', sp1 + 1);
-      size_t sp3 = line.find(' ', sp2 + 1);
-      if (sp2 == std::string::npos || sp3 == std::string::npos) {
-        return Internal("malformed WAL OP record: " + line);
+      size_t sp2 = rest.find(' ');
+      size_t sp3 = sp2 == std::string_view::npos ? sp2 : rest.find(' ', sp2 + 1);
+      if (sp3 == std::string_view::npos) {
+        return Internal("malformed WAL OP record: " + std::string(line));
       }
-      std::string txn = line.substr(sp1 + 1, sp2 - sp1 - 1);
-      std::string doc = line.substr(sp2 + 1, sp3 - sp2 - 1);
-      std::string op_xml = DecodeWalPayload(line.substr(sp3 + 1));
-      AXMLX_ASSIGN_OR_RETURN(ops::Operation op,
-                             ops::Operation::FromXml(op_xml));
+      const std::string txn(rest.substr(0, sp2));
+      const std::string doc(rest.substr(sp2 + 1, sp3 - sp2 - 1));
+      AXMLX_ASSIGN_OR_RETURN(
+          ops::Operation op,
+          ops::Operation::FromXml(DecodeWalPayload(rest.substr(sp3 + 1))));
       active_txns_[txn].wal_ops++;  // counts OP records for the torn-tail
                                     // check; also tolerates OP before BEGIN
       auto applied = ApplyOp(txn, doc, op);
@@ -337,7 +382,7 @@ Status DurableStore::ReplayWal() {
       }
       ++stats_.replayed_ops;
     } else {
-      return Internal("unknown WAL record: " + line);
+      return Internal("unknown WAL record: " + std::string(line));
     }
   }
   return Status::Ok();
@@ -442,8 +487,9 @@ Status DurableStore::CreateDocument(const std::string& xml_text) {
   if (documents_.count(name) > 0) {
     return AlreadyExists("document " + name + " already exists");
   }
-  AXMLX_RETURN_IF_ERROR(
-      AppendWal("NEWDOC " + EncodeWalPayload(doc->Serialize())));
+  // Parsing is deterministic: replaying the caller's text rebuilds the
+  // document with the ids it has here.
+  AXMLX_RETURN_IF_ERROR(AppendWal("NEWDOC " + EncodeWalPayload(xml_text)));
   documents_[name] = std::move(doc);
   return Status::Ok();
 }
@@ -625,7 +671,7 @@ Status DurableStore::Checkpoint() {
   std::string manifest = "epoch " + std::to_string(next) + "\n";
   for (const auto& [name, doc] : documents_) {
     AXMLX_RETURN_IF_ERROR(WriteFileAtomically(
-        SnapshotPath(directory_, next, name), doc->Serialize()));
+        SnapshotPath(directory_, next, name), EncodeSnapshot(*doc)));
     manifest += name + "\n";
   }
   if (crash_point_ == CrashPoint::kAfterSnapshots) {

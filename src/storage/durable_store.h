@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "axml/materializer.h"
@@ -74,6 +75,10 @@ struct FlushPolicy {
 ///   DEDUP <key>               -- at-most-once message key (txn::Peer dedup
 ///                                window), replayed into seen_dedup_keys()
 /// Legacy two-token BEGIN/RESOLVED records (pre-versioning) still parse.
+///
+/// A compensating insert's OP record carries the restored subtree's node
+/// ids (Operation::ToXml), so replay re-attaches it under the ids it had
+/// live; snapshots are id-exact too (kSnapshotHeader).
 ///
 /// Checkpoints are epoch-switched, never in-place: epoch n writes
 /// `snap_e<n>_<doc>.xml` + `wal_e<n>.log` and commits by atomically renaming
@@ -304,9 +309,25 @@ class DurableStore {
   std::map<std::string, bool> resolved_outcomes_;
 };
 
+/// First token of an id-exact snapshot file. Such a file is one header line
+///   #axmlx-ids next=<next id> <pre-order id list>
+/// followed by the document's serialization (xml/id_codec.h), so a reload
+/// keeps every node id and the id allocation counter. A file without the
+/// header is a plain serialization (older snapshots) and parses with fresh
+/// ids.
+inline constexpr char kSnapshotHeader[] = "#axmlx-ids";
+
+/// Snapshot file content for `doc`: id-exact, or a plain serialization when
+/// the document has no exact text form (see xml::ExactIdsOf).
+std::string EncodeSnapshot(const xml::Document& doc);
+
+/// Rebuilds a document from EncodeSnapshot's output or from a plain
+/// serialization. A malformed header or id list is an error.
+Result<std::unique_ptr<xml::Document>> DecodeSnapshot(std::string_view text);
+
 /// Newline/percent escaping for single-line WAL payloads.
 std::string EncodeWalPayload(const std::string& raw);
-std::string DecodeWalPayload(const std::string& encoded);
+std::string DecodeWalPayload(std::string_view encoded);
 
 /// Append-into variant used by the record batcher to avoid a temporary.
 void EncodeWalPayloadTo(const std::string& raw, std::string* out);

@@ -74,9 +74,12 @@ void AxmlPeer::CloseCtxSpan(Ctx* ctx, overlay::Network* net,
                             const std::string& outcome,
                             const std::string& fault) {
   if (spans_ == nullptr || ctx->span_id == 0) return;
-  const obs::SpanRecord* rec = spans_->Find(ctx->span_id);
-  const int64_t end =
-      net != nullptr ? net->now() : (rec != nullptr ? rec->start : 0);
+  int64_t end = 0;
+  if (net != nullptr) {
+    end = net->now();
+  } else if (std::optional<obs::SpanRecord> rec = spans_->Find(ctx->span_id)) {
+    end = rec->start;
+  }
   spans_->CloseSpan(ctx->span_id, end, outcome, fault);
   ctx->span_id = 0;
 }
@@ -313,7 +316,7 @@ void AxmlPeer::Begin(Ctx* ctx, overlay::Network* net) {
       if (it != ctx->reused->by_service.end()) {
         edge.state = ChildEdge::State::kDone;
         edge.result = it->second;
-        edge.invoked_peer = it->second->executed_by;
+        SetEdgeTarget(&edge, it->second->executed_by);
         for (const overlay::PeerId& p : it->second->participants) {
           ctx->participants.push_back(p);
         }
@@ -342,7 +345,7 @@ void AxmlPeer::InvokeChild(Ctx* ctx, ChildEdge* edge,
                            const overlay::PeerId& target,
                            overlay::Network* net) {
   edge->state = ChildEdge::State::kInvoked;
-  edge->invoked_peer = target;
+  SetEdgeTarget(edge, target);
   overlay::Message m;
   m.from = id();
   m.to = target;
@@ -362,35 +365,66 @@ void AxmlPeer::InvokeChild(Ctx* ctx, ChildEdge* edge,
     OnChildFailure(ctx, edge, "PeerDisconnected", net);
     return;
   }
-  if (options_.keepalive_interval > 0) WatchChild(ctx, target, net);
+  if (options_.keepalive_interval > 0) WatchChild(edge, net);
 }
 
-void AxmlPeer::WatchChild(Ctx* ctx, const overlay::PeerId& child,
-                          overlay::Network* net) {
-  (void)ctx;
+void AxmlPeer::SetEdgeTarget(ChildEdge* edge, const overlay::PeerId& target) {
+  ReleaseWatch(edge);
+  edge->invoked_peer = target;
+}
+
+void AxmlPeer::WatchChild(ChildEdge* edge, overlay::Network* net) {
   if (keepalive_ == nullptr) {
     keepalive_ = std::make_unique<overlay::KeepAliveMonitor>(
         net, id(), options_.keepalive_interval);
   }
-  keepalive_->Watch(
-      child, [this, net](const overlay::PeerId& down, overlay::Tick) {
-        // A watched child vanished: fail every running edge that targets it,
-        // across all transactions (§3.3(c), detection by the parent).
-        std::vector<std::string> txns;
-        for (auto& [txn, ctx2] : contexts_) txns.push_back(txn);
-        for (const std::string& txn : txns) {
-          Ctx* ctx2 = FindContext(txn);
-          if (ctx2 == nullptr || ctx2->state != Ctx::State::kRunning) continue;
-          for (ChildEdge& edge : ctx2->children) {
-            if (edge.invoked_peer == down &&
-                edge.state == ChildEdge::State::kInvoked) {
-              OnChildFailure(ctx2, &edge, "PeerDisconnected", net);
-              break;
+  if (!edge->watched) {
+    edge->watched = true;
+    if (watch_refs_[edge->invoked_peer]++ == 0) {
+      keepalive_->Watch(
+          edge->invoked_peer,
+          [this, net](const overlay::PeerId& down, overlay::Tick) {
+            // The monitor dropped its watch on `down` before calling us, so
+            // every edge's reference on it is void.
+            watch_refs_.erase(down);
+            std::vector<std::string> txns;
+            for (auto& [txn, ctx2] : contexts_) {
+              txns.push_back(txn);
+              for (ChildEdge& edge2 : ctx2.children) {
+                if (edge2.invoked_peer == down) edge2.watched = false;
+              }
             }
-          }
-        }
-      });
+            // A watched child vanished: fail every running edge that targets
+            // it, across all transactions (§3.3(c), detection by the parent).
+            for (const std::string& txn : txns) {
+              Ctx* ctx2 = FindContext(txn);
+              if (ctx2 == nullptr || ctx2->state != Ctx::State::kRunning) {
+                continue;
+              }
+              for (ChildEdge& edge2 : ctx2->children) {
+                if (edge2.invoked_peer == down &&
+                    edge2.state == ChildEdge::State::kInvoked) {
+                  OnChildFailure(ctx2, &edge2, "PeerDisconnected", net);
+                  break;
+                }
+              }
+            }
+          });
+    }
+  }
   keepalive_->Start();  // re-arms an idle monitor
+}
+
+void AxmlPeer::ReleaseWatch(ChildEdge* edge) {
+  if (!edge->watched) return;
+  edge->watched = false;
+  auto it = watch_refs_.find(edge->invoked_peer);
+  if (it == watch_refs_.end() || --it->second > 0) return;
+  watch_refs_.erase(it);
+  // A leaked watch would keep the monitor rescheduling itself forever,
+  // pinning the event queue (and the simulated clock) long after the
+  // transaction is resolved.
+  if (keepalive_ != nullptr) keepalive_->Unwatch(edge->invoked_peer);
 }
 
 std::string AxmlPeer::DedupKeyOf(const overlay::Message& message) {
@@ -644,7 +678,7 @@ void AxmlPeer::HandleResult(const overlay::Message& message,
       // The child answered; stop pinging it so the monitor can go idle
       // (disconnection after completion is handled by compensation, not
       // detection).
-      if (keepalive_ != nullptr) keepalive_->Unwatch(message.from);
+      ReleaseWatch(&edge);
       for (const overlay::PeerId& p : payload->participants) {
         ctx->participants.push_back(p);
       }
@@ -1055,7 +1089,7 @@ void AxmlPeer::OnChildFailure(Ctx* ctx, ChildEdge* edge,
   // failed child's own subtree has already rolled itself back (or is
   // unreachable); mark the edge failed so no abort is sent to it.
   edge->state = ChildEdge::State::kPending;
-  edge->invoked_peer.clear();
+  SetEdgeTarget(edge, overlay::PeerId());
   AbortContext(ctx, fault, /*notify_parent=*/true, net);
 }
 
@@ -1093,30 +1127,8 @@ AxmlPeer::Ctx* AxmlPeer::FindContext(const std::string& txn) {
 void AxmlPeer::EraseContext(const std::string& txn) {
   auto it = contexts_.find(txn);
   if (it == contexts_.end()) return;
-  std::vector<overlay::PeerId> invoked;
-  for (const ChildEdge& edge : it->second.children) {
-    if (!edge.invoked_peer.empty()) invoked.push_back(edge.invoked_peer);
-  }
+  for (ChildEdge& edge : it->second.children) ReleaseWatch(&edge);
   contexts_.erase(it);
-  if (keepalive_ == nullptr) return;
-  // Stop watching children no other live context still waits on — a leaked
-  // watch keeps the keepalive monitor rescheduling itself forever, pinning
-  // the event queue (and the simulated clock) long after the transaction
-  // is resolved.
-  for (const overlay::PeerId& child : invoked) {
-    bool still_needed = false;
-    for (const auto& [other_txn, other_ctx] : contexts_) {
-      for (const ChildEdge& edge : other_ctx.children) {
-        if (edge.invoked_peer == child &&
-            edge.state == ChildEdge::State::kInvoked) {
-          still_needed = true;
-          break;
-        }
-      }
-      if (still_needed) break;
-    }
-    if (!still_needed) keepalive_->Unwatch(child);
-  }
 }
 
 }  // namespace axmlx::txn

@@ -244,9 +244,14 @@ class AxmlPeer : public overlay::PeerNode {
     service::ServiceDefinition::SubCall def;
     enum class State { kPending, kInvoked, kDone, kAbsorbed } state =
         State::kPending;
-    overlay::PeerId invoked_peer;  ///< Actual target (replica after retry).
+    /// Actual target (replica after retry). Written only through
+    /// SetEdgeTarget, which owns the edge's keepalive watch (lint R11).
+    overlay::PeerId invoked_peer;
     std::shared_ptr<const ResultPayload> result;
     int retries_used = 0;
+    /// This edge holds one reference on the keepalive watch of
+    /// `invoked_peer` (see WatchChild / ReleaseWatch).
+    bool watched = false;
   };
 
   /// Transaction context (the paper's TCAx).
@@ -336,6 +341,13 @@ class AxmlPeer : public overlay::PeerNode {
                     overlay::Network* net,
                     std::shared_ptr<const ReusedResults> reused = nullptr,
                     uint64_t parent_span = 0);
+
+  /// The one writer of `edge->invoked_peer` (lint R11): points the edge at
+  /// `target` (empty = none) after giving up the edge's keepalive watch on
+  /// its old target. The monitor stops pinging a child once no running edge
+  /// of any transaction still watches it, so an aborted or retargeted edge
+  /// cannot leave a watch behind that keeps the simulated clock spinning.
+  void SetEdgeTarget(ChildEdge* edge, const overlay::PeerId& target);
 
   /// Sends INVOKE for `edge` to `target`. On unreachable target, reports
   /// through OnChildFailure (with fault "PeerDisconnected").
@@ -449,8 +461,12 @@ class AxmlPeer : public overlay::PeerNode {
   /// Pushes the service's document to this peer's replica (eager
   /// replication) after local work.
   void PushToReplica(const std::string& document, overlay::Network* net);
-  void WatchChild(Ctx* ctx, const overlay::PeerId& child,
-                  overlay::Network* net);
+  /// Takes a keepalive watch reference for `edge`'s current target,
+  /// starting the watch on the first reference.
+  void WatchChild(ChildEdge* edge, overlay::Network* net);
+  /// Drops `edge`'s watch reference (if it holds one); the last reference
+  /// on a target unwatches it.
+  void ReleaseWatch(ChildEdge* edge);
 
   /// Stable lock id for a transaction name (used with use_locking).
   static int64_t LockIdFor(const std::string& txn);
@@ -468,6 +484,8 @@ class AxmlPeer : public overlay::PeerNode {
   obs::Timeline* timeline_ = nullptr;
   std::map<std::string, Ctx> contexts_;
   std::unique_ptr<overlay::KeepAliveMonitor> keepalive_;
+  /// Running edges (across all contexts) holding a watch on each target.
+  std::map<overlay::PeerId, int> watch_refs_;
   WriteJournal* journal_ = nullptr;
   /// Delivered-message dedup keys (duplicate suppression, at-most-once
   /// processing on top of the overlay's at-least-once faults).

@@ -1,22 +1,27 @@
 #include "xml/diff.h"
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 namespace axmlx::xml {
 
 namespace {
 
-std::unordered_set<NodeId> CollectIds(const Document& doc) {
-  std::unordered_set<NodeId> ids;
-  doc.Walk(doc.root(), [&ids](const Node& n) {
-    ids.insert(n.id);
-    return true;
-  });
-  return ids;
-}
+/// The ids reachable from the root, as a bitmap indexed by id.
+class IdSet {
+ public:
+  explicit IdSet(const Document& doc) : bits_(doc.next_id(), false) {
+    doc.Walk(doc.root(), [this](const Node& n) {
+      bits_[n.id] = true;
+      return true;
+    });
+  }
+  bool Has(NodeId id) const { return id < bits_.size() && bits_[id]; }
+
+ private:
+  std::vector<bool> bits_;
+};
 
 DetachedSubtree CopySubtree(const Document& doc, NodeId root) {
   DetachedSubtree subtree;
@@ -78,20 +83,19 @@ size_t DocumentDiff::NodesAffected() const {
   return total;
 }
 
-Result<DocumentDiff> ComputeDiff(const Document& from, const Document& to) {
-  if (from.root() != to.root()) {
-    return FailedPrecondition(
-        "ComputeDiff requires versions sharing a root id (clone-derived "
-        "replicas)");
-  }
-  std::unordered_set<NodeId> from_ids = CollectIds(from);
-  std::unordered_set<NodeId> to_ids = CollectIds(to);
+namespace {
+
+/// Phases A-C of the script from `from` to `to`: removes, inserts and
+/// content updates. Reads both documents only.
+DocumentDiff StructuralOps(const Document& from, const Document& to) {
+  const IdSet from_ids(from);
+  const IdSet to_ids(to);
   DocumentDiff diff;
 
   // Phase A — removes: from-only subtree roots whose parent survives.
   from.Walk(from.root(), [&](const Node& n) {
-    if (to_ids.count(n.id) > 0) return true;
-    if (n.parent != kNullNode && to_ids.count(n.parent) > 0) {
+    if (to_ids.Has(n.id)) return true;
+    if (n.parent != kNullNode && to_ids.Has(n.parent)) {
       DiffOp op;
       op.kind = DiffOp::Kind::kRemoveSubtree;
       op.node = n.id;
@@ -102,8 +106,8 @@ Result<DocumentDiff> ComputeDiff(const Document& from, const Document& to) {
 
   // Phase B — inserts: to-only subtree roots under surviving parents.
   to.Walk(to.root(), [&](const Node& n) {
-    if (from_ids.count(n.id) > 0) return true;
-    if (n.parent != kNullNode && from_ids.count(n.parent) > 0) {
+    if (from_ids.Has(n.id)) return true;
+    if (n.parent != kNullNode && from_ids.Has(n.parent)) {
       DiffOp op;
       op.kind = DiffOp::Kind::kInsertSubtree;
       op.parent = n.parent;
@@ -117,7 +121,7 @@ Result<DocumentDiff> ComputeDiff(const Document& from, const Document& to) {
 
   // Phase C — content updates on shared nodes.
   to.Walk(to.root(), [&](const Node& n) {
-    if (from_ids.count(n.id) == 0) return false;
+    if (!from_ids.Has(n.id)) return false;
     const Node* old_node = from.Find(n.id);
     if (n.type != old_node->type || n.name != old_node->name) {
       // Ids are never recycled across types/names in this system; treat a
@@ -152,13 +156,13 @@ Result<DocumentDiff> ComputeDiff(const Document& from, const Document& to) {
     return true;
   });
 
-  // Phase D — ordering/reparenting: simulate the script so far on a scratch
-  // copy of `from`, then walk `to` pre-order and emit the moves needed to
-  // make every element's child list match exactly.
-  std::unique_ptr<Document> sim = from.Clone();
-  for (const DiffOp& op : diff.ops) {
-    AXMLX_RETURN_IF_ERROR(ApplyOp(sim.get(), op));
-  }
+  return diff;
+}
+
+/// Phase D — ordering/reparenting: `sim` has been through `diff`'s phases
+/// A-C; walks `to` pre-order and applies (and appends) the moves that make
+/// every element's child list match exactly.
+Status AppendMoves(Document* sim, const Document& to, DocumentDiff* diff) {
   std::vector<NodeId> shared_elements;
   to.Walk(to.root(), [&](const Node& n) {
     if (n.is_element() && sim->Contains(n.id)) {
@@ -184,10 +188,43 @@ Result<DocumentDiff> ComputeDiff(const Document& from, const Document& to) {
       op.node = expected;
       op.parent = elem;
       op.index = i;
-      AXMLX_RETURN_IF_ERROR(ApplyOp(sim.get(), op));
-      diff.ops.push_back(std::move(op));
+      AXMLX_RETURN_IF_ERROR(ApplyOp(sim, op));
+      diff->ops.push_back(std::move(op));
     }
   }
+  return Status::Ok();
+}
+
+Status RequireSharedRoot(const Document& from, const Document& to) {
+  if (from.root() != to.root()) {
+    return FailedPrecondition(
+        "ComputeDiff requires versions sharing a root id (clone-derived "
+        "replicas)");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<DocumentDiff> ComputeDiff(const Document& from, const Document& to) {
+  AXMLX_RETURN_IF_ERROR(RequireSharedRoot(from, to));
+  DocumentDiff diff = StructuralOps(from, to);
+  // Moves are found by simulating the script so far on a scratch copy.
+  std::unique_ptr<Document> sim = from.Clone();
+  for (const DiffOp& op : diff.ops) {
+    AXMLX_RETURN_IF_ERROR(ApplyOp(sim.get(), op));
+  }
+  AXMLX_RETURN_IF_ERROR(AppendMoves(sim.get(), to, &diff));
+  return diff;
+}
+
+Result<DocumentDiff> SyncDocument(Document* doc, const Document& to) {
+  AXMLX_RETURN_IF_ERROR(RequireSharedRoot(*doc, to));
+  DocumentDiff diff = StructuralOps(*doc, to);
+  for (const DiffOp& op : diff.ops) {
+    AXMLX_RETURN_IF_ERROR(ApplyOp(doc, op));
+  }
+  AXMLX_RETURN_IF_ERROR(AppendMoves(doc, to, &diff));
   return diff;
 }
 

@@ -58,6 +58,11 @@ struct DocumentDiff {
 /// have the same root id (true for clone-derived replicas).
 Result<DocumentDiff> ComputeDiff(const Document& from, const Document& to);
 
+/// ComputeDiff(*doc, to) followed by ApplyDiff(doc, ...), in one pass and
+/// without ComputeDiff's scratch copy of `doc`: brings `doc` to `to`'s
+/// state and returns the script it applied (empty = already equal).
+Result<DocumentDiff> SyncDocument(Document* doc, const Document& to);
+
 /// Applies `diff` to `doc` (which must be in the `from` state). Afterwards
 /// Document::Equals(doc, to) holds, including child order, and shared ids
 /// are preserved.

@@ -27,8 +27,21 @@ Document::Document(RawTag)
     : identity_(next_identity.fetch_add(1, std::memory_order_relaxed)) {}
 
 Document::Document(const std::string& root_name) : Document(RawTag{}) {
+  // Most documents are small fragments (operation data, service results):
+  // size the tables for the reserved names plus a few of their own up
+  // front instead of regrowing them one element at a time.
+  constexpr size_t kInitialNames = 16;
+  names_.reserve(kInitialNames);
+  name_ids_.reserve(kInitialNames);
+  name_index_.reserve(kInitialNames);
+  slot_gen_.reserve(1u << kChunkBits);
+  slot_of_id_.reserve(1u << kChunkBits);
+  gen_of_id_.reserve(1u << kChunkBits);
+  // The reserved names take ids 0..kNumReservedNames-1 without a hash
+  // entry: ReservedNameId resolves them by spelling.
   for (const char* reserved : kReservedNames) {
-    (void)InternName(reserved);
+    names_.emplace_back(reserved);
+    name_index_.emplace_back();
   }
   root_ = CreateElement(root_name);
 }
@@ -66,11 +79,15 @@ std::unique_ptr<Document> Document::Clone() const {
 
 std::unique_ptr<Document> Document::CloneForReplica() {
   std::unique_ptr<Document> copy = Clone();
+  TrackSyncedReplica(*copy);
+  return copy;
+}
+
+void Document::TrackSyncedReplica(const Document& replica) {
   track_changes_ = true;
   changed_ids_.clear();
-  synced_identity_ = copy->identity_;
-  synced_mutations_ = copy->mutations_;
-  return copy;
+  synced_identity_ = replica.identity_;
+  synced_mutations_ = replica.mutations_;
 }
 
 // Writes the replica's nodes without recording versions on purpose: the
@@ -219,7 +236,18 @@ size_t Document::VersionRecordCount() const {
   return count;
 }
 
+NameId Document::ReservedNameId(std::string_view name) {
+  if (name.size() < 7 || name.substr(0, 5) != "axml:") return kNoName;
+  for (NameId id = 0; id < kNumReservedNames; ++id) {
+    if (name == kReservedNames[id]) return id;
+  }
+  return kNoName;
+}
+
 NameId Document::InternName(std::string_view name) {
+  if (NameId reserved = ReservedNameId(name); reserved != kNoName) {
+    return reserved;
+  }
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) return it->second;
   NameId id = static_cast<NameId>(names_.size());
@@ -230,6 +258,9 @@ NameId Document::InternName(std::string_view name) {
 }
 
 NameId Document::FindNameId(std::string_view name) const {
+  if (NameId reserved = ReservedNameId(name); reserved != kNoName) {
+    return reserved;
+  }
   auto it = name_ids_.find(name);
   return it == name_ids_.end() ? kNoName : it->second;
 }
@@ -557,6 +588,76 @@ Status Document::RestoreSubtree(const std::vector<Node>& nodes,
   r->parent = parent;
   p->children.insert(p->children.begin() + static_cast<ptrdiff_t>(index),
                      subtree_root);
+  return Status::Ok();
+}
+
+Status Document::AssignPreOrderIds(const std::vector<NodeId>& ids,
+                                   NodeId next_id) {
+  if (versioning_enabled_ || track_changes_) {
+    return FailedPrecondition(
+        "AssignPreOrderIds: the document has readers of its ids");
+  }
+  std::vector<NodeId> order;
+  order.reserve(live_nodes_);
+  std::vector<NodeId> stack = {root_};
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    order.push_back(id);
+    const Node* n = Find(id);
+    stack.insert(stack.end(), n->children.rbegin(), n->children.rend());
+  }
+  if (order.size() != ids.size()) {
+    return InvalidArgument("AssignPreOrderIds: " +
+                           std::to_string(order.size()) + " nodes but " +
+                           std::to_string(ids.size()) + " ids");
+  }
+  NodeId top = 0;
+  std::vector<NodeId> remap(next_id_, kNullNode);
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (ids[i] == kNullNode) return InvalidArgument("AssignPreOrderIds: id 0");
+    remap[order[i]] = ids[i];
+    top = std::max(top, ids[i]);
+  }
+  if (top >= next_id) {
+    return InvalidArgument("AssignPreOrderIds: id " + std::to_string(top) +
+                           " is not below the next id " +
+                           std::to_string(next_id));
+  }
+  std::vector<uint32_t> slot_of_id(top + 1, kInvalidSlot);
+  std::vector<uint32_t> gen_of_id(top + 1, 0);
+  for (NodeId old : order) {
+    const uint32_t slot = slot_of_id_[old];
+    const NodeId id = remap[old];
+    if (slot_of_id[id] != kInvalidSlot) {
+      return InvalidArgument("AssignPreOrderIds: repeated id " +
+                             std::to_string(id));
+    }
+    slot_of_id[id] = slot;
+    gen_of_id[id] = slot_gen_[slot];
+  }
+  // Validated: rewrite every record's links. Versioning is off, so the
+  // version entries only count the mutation.
+  for (NodeId old : order) {
+    Node& n = NodeAt(slot_of_id_[old]);
+    RecordVersion(remap[old]);
+    n.id = remap[old];
+    n.parent = n.parent == kNullNode ? kNullNode : remap[n.parent];
+    for (NodeId& c : n.children) c = remap[c];
+  }
+  for (std::vector<NodeId>& bucket : name_index_) {
+    size_t w = 0;
+    for (NodeId old : bucket) {
+      if (old < remap.size() && remap[old] != kNullNode && Find(old)) {
+        bucket[w++] = remap[old];
+      }
+    }
+    bucket.resize(w);
+  }
+  slot_of_id_ = std::move(slot_of_id);
+  gen_of_id_ = std::move(gen_of_id);
+  root_ = remap[root_];
+  next_id_ = next_id;
   return Status::Ok();
 }
 

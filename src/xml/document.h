@@ -92,6 +92,12 @@ class Document {
   /// then falls back to CloneForReplica().
   bool SyncReplica(Document* replica);
 
+  /// Declares `replica` an exact copy of this document (same ids, same node
+  /// records), so the next SyncReplica into it ships only the nodes touched
+  /// from now on. CloneForReplica does this for the copy it makes; a replica
+  /// resync that found no difference proves it for an existing copy.
+  void TrackSyncedReplica(const Document& replica);
+
   /// Process-unique identity, fresh for every constructed or cloned
   /// document (a replaced document never passes for its predecessor).
   uint64_t identity() const { return identity_; }
@@ -189,6 +195,7 @@ class Document {
   /// Number of distinct interned names.
   size_t interned_names() const { return names_.size(); }
 
+
   // --- Node creation -------------------------------------------------------
 
   /// Creates a detached element node; attach it with AppendChild/InsertAt.
@@ -253,6 +260,14 @@ class Document {
   Status RestoreSubtree(const std::vector<Node>& nodes, NodeId subtree_root,
                         NodeId parent, size_t index);
 
+  /// Renumbers a document nobody has read ids from yet (no versioning, no
+  /// replica tracking): the i-th node in pre-order, root first, takes
+  /// `ids[i]`, and new nodes continue from `next_id`. Rebuilds a document
+  /// from an id-exact snapshot in one pass after parsing it
+  /// (xml/id_codec.h). A count mismatch, or a repeated or zero id, or one
+  /// not below `next_id`, is an error and leaves the document unchanged.
+  Status AssignPreOrderIds(const std::vector<NodeId>& ids, NodeId next_id);
+
   // --- Tag index -----------------------------------------------------------
 
   /// Appends the ids of all live element nodes whose current name is
@@ -281,6 +296,8 @@ class Document {
 
   /// One past the largest id ever allocated here; the next new node's id.
   NodeId next_id() const { return next_id_; }
+
+
 
   /// Number of nodes in the subtree rooted at `id` (0 if unknown).
   size_t SubtreeSize(NodeId id) const;
@@ -360,6 +377,9 @@ class Document {
     if (page < kSmallPages) return 1u << (page + kChunkBits - 1);
     return static_cast<uint32_t>(page - kSmallPages + 1) << kPageBits;
   }
+
+  /// Id of a reserved AXML name (node.h), or kNoName for any other name.
+  static NameId ReservedNameId(std::string_view name);
 
   struct RawTag {};  ///< Tag for the member-copying Clone constructor.
   explicit Document(RawTag);

@@ -217,21 +217,20 @@ class ParserImpl {
       size_t start = pos_;
       AdvanceTo('<');
       std::string_view raw = input_.substr(start, pos_ - start);
-      std::string text;
+      std::string unescaped;
       if (raw.find('&') == std::string_view::npos) {
-        // Nothing to unescape: trim the view and copy once.
+        // Nothing to unescape: the node copies the trimmed view once.
         if (!options_.keep_whitespace_text) raw = StripWhitespace(raw);
         if (raw.empty() && !options_.keep_whitespace_text) continue;
-        text.assign(raw);
       } else {
-        text = XmlUnescape(raw);
+        unescaped = XmlUnescape(raw);
+        raw = unescaped;
         if (!options_.keep_whitespace_text) {
-          std::string trimmed{StripWhitespace(text)};
-          if (trimmed.empty()) continue;
-          text = std::move(trimmed);
+          raw = StripWhitespace(raw);
+          if (raw.empty()) continue;
         }
       }
-      NodeId tn = doc->CreateText(text);
+      NodeId tn = doc->CreateText(raw);
       AXMLX_RETURN_IF_ERROR(doc->AppendChild(elem, tn));
     }
   }

@@ -109,6 +109,57 @@ TEST(FaultDrillTest, EverythingAtOnceStillAtomic) {
   EXPECT_GT(report->faults.partition_blocked, 0);
 }
 
+// Depth-2 drill cells (13 workers with fanout 3, 7 with fanout 2), keepalive
+// on. An aborted transaction used to leak the keepalive watch on a failed
+// but reachable child; the monitor then ran the clock to the quiescence
+// budget, every later transaction was sent into a dead clock, and each cell
+// reported hundreds of violations. Drops x crashes stays out: that is a
+// separate open defect in abort propagation across a crash.
+struct DepthTwoCell {
+  const char* name;
+  int fanout;
+  int partition_every;
+  double dup_rate;
+};
+
+class DepthTwoDrillTest : public ::testing::TestWithParam<DepthTwoCell> {};
+
+TEST_P(DepthTwoDrillTest, AtomicLiveAndClockBounded) {
+  const DepthTwoCell& cell = GetParam();
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    FaultDrillOptions options =
+        BaseOptions(std::string("d2_") + cell.name, seed);
+    options.depth = 2;
+    options.fanout = cell.fanout;
+    options.transactions = 16;
+    options.partition_every = cell.partition_every;
+    options.dup_rate = cell.dup_rate;
+    options.crash_every = 4;
+    FaultDrill drill(options);
+    auto report = drill.Run();
+    ASSERT_TRUE(report.ok()) << report.status();
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_EQ(report->violations, 0)
+        << JoinDetails(report->violation_details);
+    EXPECT_EQ(report->undecided, 0);
+    EXPECT_EQ(report->harness_errors, 0);
+    EXPECT_GT(report->crashes, 0);
+    // Every transaction decides within a few hundred ticks; a leaked timer
+    // would have run the clock up to the budget.
+    EXPECT_LT(report->final_time, overlay::Network::kQuiescenceBudget / 100);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, DepthTwoDrillTest,
+    ::testing::Values(DepthTwoCell{"f2_partition_crash", 2, 3, 0.0},
+                      DepthTwoCell{"f2_dup_crash", 2, 0, 0.05},
+                      DepthTwoCell{"f3_partition_crash", 3, 3, 0.0},
+                      DepthTwoCell{"f3_dup_crash", 3, 0, 0.05}),
+    [](const ::testing::TestParamInfo<DepthTwoCell>& info) {
+      return std::string(info.param.name);
+    });
+
 // Journal that only records dedup keys — stands in for the DurableStore
 // adapter so the test can watch exactly which keys the peer admits.
 class DedupRecordingJournal : public txn::WriteJournal {

@@ -1,5 +1,5 @@
 // Tests for tools/axmlx_lint: a clean miniature tree passes, and each rule
-// R1..R10 fires on a fixture seeding exactly that violation, with the
+// R1..R11 fires on a fixture seeding exactly that violation, with the
 // finding anchored to the right file and line. The cross-TU rules (R6-R10)
 // get fixture pairs split across files to prove the two-pass analyzer
 // really correlates facts between translation units.
@@ -1007,6 +1007,53 @@ bool IsPhaseSeries(const std::string& name) {
 }
 
 // --- Suppression granularity and output formats ----------------------------
+
+// --- R11: keepalive watch ownership ----------------------------------------
+
+TEST(LintTest, R11FlagsEdgeTargetWritesOutsideTheHelper) {
+  std::vector<SourceFile> files = CleanTree();
+  files.push_back({"recovery/retry_peer.cc", R"cc(#include "txn/peer.h"
+namespace axmlx::recovery {
+void RetryPeer::OnChildFailure(Ctx* ctx, ChildEdge* edge) {
+  if (edge->invoked_peer == edge->def.peer) Retry(ctx);
+  edge->invoked_peer = ReplicaOf(edge->def.peer);
+  edge->invoked_peer.clear();
+  std::swap(edge->invoked_peer, spare_);
+}
+}  // namespace axmlx::recovery
+)cc"});
+  const std::vector<Finding> r11 = OfRule(RunLint(files), "R11");
+  ASSERT_EQ(r11.size(), 3u) << FormatFindings(r11);
+  EXPECT_EQ(r11[0].file, "recovery/retry_peer.cc");
+  EXPECT_EQ(r11[0].line, 5);
+  EXPECT_EQ(r11[1].line, 6);
+  EXPECT_EQ(r11[2].line, 7);
+  EXPECT_NE(r11[0].message.find("SetEdgeTarget"), std::string::npos);
+}
+
+TEST(LintTest, R11AllowsWritesInsideTheHelperAndReads) {
+  std::vector<SourceFile> files = CleanTree();
+  files.push_back({"txn/edges.cc", R"cc(#include "txn/peer.h"
+namespace axmlx::txn {
+void AxmlPeer::SetEdgeTarget(ChildEdge* edge, const PeerId& target) {
+  ReleaseWatch(edge);
+  edge->invoked_peer = target;
+}
+bool AxmlPeer::Targets(const ChildEdge& edge, const PeerId& peer) const {
+  return edge.invoked_peer == peer && !edge.invoked_peer.empty();
+}
+}  // namespace axmlx::txn
+)cc"});
+  files.push_back({"recovery/retry_peer.cc", R"cc(#include "txn/peer.h"
+namespace axmlx::recovery {
+void RetryPeer::OnChildFailure(Ctx* ctx, ChildEdge* edge) {
+  SetEdgeTarget(edge, ReplicaOf(edge->def.peer));
+}
+}  // namespace axmlx::recovery
+)cc"});
+  const std::vector<Finding> r11 = OfRule(RunLint(files), "R11");
+  EXPECT_TRUE(r11.empty()) << FormatFindings(r11);
+}
 
 TEST(LintTest, SuppressionOnLineAboveSilencesFinding) {
   std::vector<SourceFile> files = CleanTree();

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -146,8 +147,8 @@ TEST(SpanTracker, FirstCloseWinsAndUnknownIdsIgnored) {
   spans.CloseSpan(id, 9, obs::kOutcomeCommitted);
   spans.CloseSpan(id, 12, obs::kOutcomeAborted, "Late");  // ignored
   spans.CloseSpan(9999, 1, obs::kOutcomeFailed);          // ignored
-  const obs::SpanRecord* rec = spans.Find(id);
-  ASSERT_NE(rec, nullptr);
+  std::optional<obs::SpanRecord> rec = spans.Find(id);
+  ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->end, 9);
   EXPECT_EQ(rec->outcome, obs::kOutcomeCommitted);
   EXPECT_TRUE(rec->fault.empty());
@@ -187,10 +188,10 @@ TEST(SpanTracker, CrossPeerInvocationTreeFromFigureOne) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->status.ok());
 
-  const obs::SpanTracker& spans = repository.spans();
+  const std::vector<obs::SpanRecord> all = repository.spans().spans();
   const obs::SpanRecord* txn = nullptr;
   std::map<std::string, const obs::SpanRecord*> service_at;  // peer -> span
-  for (const obs::SpanRecord& s : spans.spans()) {
+  for (const obs::SpanRecord& s : all) {
     if (s.kind == obs::kSpanTxn) txn = &s;
     if (s.kind == obs::kSpanService) service_at[s.peer] = &s;
   }

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "common/rng.h"
 #include "obs/metric_names.h"
+#include "compensation/compensation.h"
+#include "ops/executor.h"
 #include "ops/operation.h"
 #include "storage/durable_store.h"
 #include "tests/test_data.h"
@@ -336,6 +341,230 @@ TEST_F(StorageTest, BatchedCommitSurvivesRestart) {
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_NE(reopened.Get("ATPList")->Serialize().find("<kept/>"),
             std::string::npos);
+}
+
+// --- Id-exact WAL compensation records and snapshots ----------------------
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void WriteAll(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::trunc);
+  out << content;
+}
+
+/// `text` with every ` ids="..."` attribute value replaced by `value`, or
+/// the attribute dropped when `value` is null.
+std::string WithIds(std::string text, const std::string* value) {
+  const std::string key = " ids=\"";
+  for (size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at + 1)) {
+    const size_t end = text.find('"', at + key.size()) + 1;
+    text.replace(at, end - at, value == nullptr ? "" : key + *value + "\"");
+  }
+  return text;
+}
+
+/// Node-for-node equality by id, plus the id counter and serialization.
+void ExpectSameNodes(const xml::Document& live, const xml::Document& replayed) {
+  EXPECT_EQ(live.next_id(), replayed.next_id());
+  EXPECT_EQ(live.Serialize(), replayed.Serialize());
+  const xml::NodeId end = std::max(live.next_id(), replayed.next_id());
+  for (xml::NodeId id = 1; id < end; ++id) {
+    const xml::Node* a = live.Find(id);
+    const xml::Node* b = replayed.Find(id);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "node " << id;
+    if (a == nullptr) continue;
+    EXPECT_EQ(a->type, b->type) << "node " << id;
+    EXPECT_EQ(a->name, b->name) << "node " << id;
+    EXPECT_EQ(a->text, b->text) << "node " << id;
+    EXPECT_EQ(a->attributes, b->attributes) << "node " << id;
+    EXPECT_EQ(a->parent, b->parent) << "node " << id;
+    EXPECT_EQ(a->children, b->children) << "node " << id;
+  }
+}
+
+xml::NodeId FindElement(const xml::Document& doc, const std::string& name) {
+  xml::NodeId found = xml::kNullNode;
+  doc.Walk(doc.root(), [&](const xml::Node& n) {
+    if (found == xml::kNullNode && n.is_element() && n.name == name) {
+      found = n.id;
+    }
+    return true;
+  });
+  return found;
+}
+
+const char kFedererPoints[] =
+    "Select p/points from p in ATPList//player "
+    "where p/name/lastname = Federer";
+
+/// T1 materializes the replace-mode getPoints call through a lazy query and
+/// aborts: its compensation re-attaches the old <points> under its original
+/// ids. Optionally checkpoints. T2 then deletes that node by id and inserts
+/// a coach, and commits. Returns the live document as the crash left it.
+std::unique_ptr<xml::Document> RunAbortThenMutate(DurableStore* store,
+                                                  bool checkpoint) {
+  EXPECT_TRUE(store->CreateDocument(testing::kAtpListXml).ok());
+  const xml::NodeId points = FindElement(*store->Get("ATPList"), "points");
+  EXPECT_TRUE(store->Begin("T1").ok());
+  auto queried =
+      store->Execute("T1", "ATPList", ops::MakeQuery(kFedererPoints));
+  EXPECT_TRUE(queried.ok()) << queried.status();
+  EXPECT_NE(store->Get("ATPList")->Serialize().find("890"),
+            std::string::npos);
+  EXPECT_TRUE(store->Abort("T1").ok());
+  // The compensation put the old result back under its original id.
+  EXPECT_EQ(FindElement(*store->Get("ATPList"), "points"), points);
+  if (checkpoint) {
+    EXPECT_TRUE(store->Checkpoint().ok());
+  }
+  EXPECT_TRUE(store->Begin("T2").ok());
+  auto deleted =
+      store->Execute("T2", "ATPList", ops::MakeDeleteById(points));
+  EXPECT_TRUE(deleted.ok()) << deleted.status();
+  auto inserted = store->Execute(
+      "T2", "ATPList",
+      ops::MakeInsert("Select p from p in ATPList//player "
+                      "where p/name/lastname = Nadal",
+                      "<coach>Toni</coach>"));
+  EXPECT_TRUE(inserted.ok()) << inserted.status();
+  EXPECT_TRUE(store->Commit("T2").ok());
+  return store->Get("ATPList")->Clone();
+}
+
+TEST_F(StorageTest, CompensationReplaysWithItsOriginalIds) {
+  std::unique_ptr<xml::Document> live;
+  {
+    auto store = OpenStore();
+    live = RunAbortThenMutate(store.get(), /*checkpoint=*/false);
+  }  // crash: only the WAL survives
+  auto reopened = OpenStore();
+  ASSERT_NE(reopened->Get("ATPList"), nullptr);
+  EXPECT_GT(reopened->stats().replayed_ops, 0);
+  ExpectSameNodes(*live, *reopened->Get("ATPList"));
+}
+
+TEST_F(StorageTest, CheckpointKeepsNodeIdsAndIdCounter) {
+  std::unique_ptr<xml::Document> live;
+  {
+    auto store = OpenStore();
+    live = RunAbortThenMutate(store.get(), /*checkpoint=*/true);
+  }
+  auto reopened = OpenStore();
+  ASSERT_NE(reopened->Get("ATPList"), nullptr);
+  EXPECT_EQ(reopened->epoch(), 1u);
+  ExpectSameNodes(*live, *reopened->Get("ATPList"));
+  // New nodes continue the original numbering after a snapshot load.
+  ASSERT_TRUE(reopened->Begin("T3").ok());
+  auto more = reopened->Execute(
+      "T3", "ATPList",
+      ops::MakeInsert("Select d from d in ATPList", "<extra/>"));
+  ASSERT_TRUE(more.ok()) << more.status();
+  ASSERT_EQ((*more)->inserted.size(), 1u);
+  EXPECT_EQ((*more)->inserted[0], live->next_id());
+}
+
+TEST_F(StorageTest, OperationXmlRoundTripsTheRestoredSubtree) {
+  std::unique_ptr<xml::Document> doc = testing::MakeAtpList();
+  ops::Executor executor(doc.get(), testing::AtpInvoker());
+  auto effect = executor.Execute(
+      ops::MakeDelete("Select p/citizenship from p in ATPList//player "
+                      "where p/name/lastname = Federer"));
+  ASSERT_TRUE(effect.ok()) << effect.status();
+  comp::CompensationPlan plan = comp::CompensationBuilder::ForEffect(*effect);
+  ASSERT_EQ(plan.operations.size(), 1u);
+  const ops::Operation& op = plan.operations[0];
+  ASSERT_NE(op.restore, nullptr);
+  const std::string text = op.ToXml();
+  ASSERT_NE(text.find(" ids=\""), std::string::npos) << text;
+
+  // The canonical form and a hand-spelled one (attribute order, layout)
+  // both decode to the same ids.
+  const size_t type_end = text.find(' ', 8);  // after `<action type="..."`
+  const size_t tag_end = text.find('>');
+  const std::string spelled =
+      "<action" + text.substr(type_end, tag_end - type_end) + " " +
+      text.substr(8, type_end - 8) + ">\n  " + text.substr(tag_end + 1);
+  ASSERT_EQ(spelled.rfind("<action targetNode=", 0), 0u) << spelled;
+  for (const std::string& input : {text, spelled}) {
+    auto parsed = ops::Operation::FromXml(input);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << input;
+    ASSERT_NE(parsed->restore, nullptr) << input;
+    EXPECT_EQ(parsed->restore->root, op.restore->root);
+    ASSERT_EQ(parsed->restore->nodes.size(), op.restore->nodes.size());
+    for (size_t i = 0; i < op.restore->nodes.size(); ++i) {
+      EXPECT_EQ(parsed->restore->nodes[i].id, op.restore->nodes[i].id);
+      EXPECT_EQ(parsed->restore->nodes[i].name, op.restore->nodes[i].name);
+      EXPECT_EQ(parsed->restore->nodes[i].text, op.restore->nodes[i].text);
+      EXPECT_EQ(parsed->restore->nodes[i].children,
+                op.restore->nodes[i].children);
+    }
+    EXPECT_EQ(parsed->target_node, op.target_node);
+    EXPECT_EQ(parsed->position, op.position);
+  }
+
+  // A malformed or mismatched id list is an error, not a crash or a guess.
+  const size_t ids_at = text.find(" ids=\"") + 6;
+  const std::string ids = text.substr(ids_at, text.find('"', ids_at) - ids_at);
+  const std::string first_id = ids.substr(0, ids.find_first_of("-,"));
+  for (const std::string& bad :
+       {std::string(""), std::string("x"), std::string("9-3"),
+        std::string("1,,2"), std::string("0"), first_id,
+        first_id + "," + first_id, ids + ",999999",
+        std::string("1-99999999999999")}) {
+    const std::string broken = WithIds(text, &bad);
+    EXPECT_FALSE(ops::Operation::FromXml(broken).ok()) << broken;
+  }
+}
+
+TEST_F(StorageTest, LegacyFilesWithoutIdsStillOpen) {
+  std::string wal_state;
+  {
+    auto store = OpenStore();
+    ASSERT_TRUE(store->CreateDocument(testing::kAtpListXml).ok());
+    ASSERT_TRUE(store->Begin("T1").ok());
+    ASSERT_TRUE(
+        store->Execute("T1", "ATPList", ops::MakeQuery(kFedererPoints)).ok());
+    ASSERT_TRUE(store->Abort("T1").ok());
+    wal_state = store->Get("ATPList")->Serialize();
+  }
+  // A WAL written before compensation records carried ids: replay falls
+  // back to fresh-id insertion and reaches the same serialization.
+  const std::string wal = ReadAll(dir_ + "/wal.log");
+  ASSERT_NE(wal.find(" ids=\""), std::string::npos);
+  WriteAll(dir_ + "/wal.log", WithIds(wal, nullptr));
+  std::string snapshot_state;
+  {
+    auto reopened = OpenStore();
+    ASSERT_NE(reopened->Get("ATPList"), nullptr);
+    EXPECT_EQ(reopened->Get("ATPList")->Serialize(), wal_state);
+    ASSERT_TRUE(reopened->Checkpoint().ok());
+    snapshot_state = reopened->Get("ATPList")->Serialize();
+  }
+  // A snapshot written before snapshots kept ids: a plain serialization.
+  const std::string snap_path = dir_ + "/snap_e1_ATPList.xml";
+  const std::string snap = ReadAll(snap_path);
+  ASSERT_EQ(snap.rfind(kSnapshotHeader, 0), 0u);
+  WriteAll(snap_path, snap.substr(snap.find('\n') + 1));
+  auto legacy = OpenStore();
+  ASSERT_NE(legacy->Get("ATPList"), nullptr);
+  EXPECT_EQ(legacy->Get("ATPList")->Serialize(), snapshot_state);
+  // A damaged header is reported, not guessed around: a malformed next id,
+  // and ids that do not fit below the next id.
+  const std::string header = snap.substr(0, snap.find('\n'));
+  const std::string ids = header.substr(header.rfind(' ') + 1);
+  for (const std::string& bad : {std::string(" next=x ") + ids,
+                                 std::string(" next=1 ") + ids}) {
+    WriteAll(snap_path, kSnapshotHeader + bad + "\n" +
+                            snap.substr(snap.find('\n') + 1));
+    DurableStore damaged(dir_, testing::AtpInvoker());
+    EXPECT_FALSE(damaged.Open().ok()) << bad;
+  }
 }
 
 }  // namespace

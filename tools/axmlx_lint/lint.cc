@@ -1478,6 +1478,81 @@ void CheckNameRegistry(const std::vector<File>& files, const Facts& facts,
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// R11: keepalive watch ownership — ChildEdge::invoked_peer is written only
+// inside AxmlPeer::SetEdgeTarget, which releases the edge's watch on the old
+// target first. A write anywhere else can leak a watch, and a leaked watch
+// keeps the keepalive monitor (and with it the simulated clock) running
+// after its transaction resolved.
+// ---------------------------------------------------------------------------
+
+/// Token ranges [begin, end) of every `AxmlPeer::SetEdgeTarget(...) {...}`
+/// definition body in `f`.
+std::vector<std::pair<size_t, size_t>> EdgeTargetHelperBodies(const File& f) {
+  std::vector<std::pair<size_t, size_t>> bodies;
+  const std::vector<Token>& toks = f.toks;
+  for (size_t i = 0; i + 3 < toks.size(); ++i) {
+    if (toks[i].text != "AxmlPeer" || !TokIs(toks, i + 1, "::") ||
+        !TokIs(toks, i + 2, "SetEdgeTarget") || !TokIs(toks, i + 3, "(")) {
+      continue;
+    }
+    const size_t body = FindBodyBrace(toks, MatchForward(toks, i + 3));
+    if (body >= toks.size()) continue;
+    bodies.emplace_back(body, MatchForward(toks, body));
+  }
+  return bodies;
+}
+
+void CheckEdgeTargetOwnership(const std::vector<File>& files,
+                              std::vector<Finding>* findings) {
+  static const std::set<std::string> kMutators = {
+      "clear", "assign", "swap", "append", "insert", "erase",
+      "push_back", "pop_back", "replace", "resize"};
+  for (const File& f : files) {
+    const std::vector<Token>& toks = f.toks;
+    const auto bodies = EdgeTargetHelperBodies(f);
+    for (size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].text != "invoked_peer" ||
+          toks[i].kind != Token::Kind::kIdent) {
+        continue;
+      }
+      // `=` and `+=` (the tokenizer splits compound operators).
+      const bool assigns = TokIs(toks, i + 1, "=") ||
+                           (TokIs(toks, i + 1, "+") && TokIs(toks, i + 2, "="));
+      const bool mutates = TokIs(toks, i + 1, ".") && i + 2 < toks.size() &&
+                           kMutators.count(toks[i + 2].text) > 0;
+      // An argument of swap(...): step back over the member-access chain,
+      // then out to the enclosing call's parenthesis.
+      bool swapped = false;
+      size_t j = i;
+      while (j > 0 && (toks[j - 1].kind == Token::Kind::kIdent ||
+                       TokIs(toks, j - 1, "->") || TokIs(toks, j - 1, ".") ||
+                       TokIs(toks, j - 1, "::"))) {
+        --j;
+      }
+      for (int depth = 0; j > 1; --j) {
+        const std::string& t = toks[j - 1].text;
+        if (t == ")") ++depth;
+        if (t == "(" && depth-- == 0) {
+          swapped = toks[j - 2].text == "swap";
+          break;
+        }
+        if (t == ";" || t == "{" || t == "}") break;
+      }
+      if (!assigns && !mutates && !swapped) continue;
+      bool inside_helper = false;
+      for (const auto& [begin, end] : bodies) {
+        inside_helper = inside_helper || (i > begin && i < end);
+      }
+      if (inside_helper) continue;
+      Report(findings, f, "R11", toks[i].pos,
+             "write to ChildEdge::invoked_peer outside "
+             "AxmlPeer::SetEdgeTarget can leak the edge's keepalive watch — "
+             "route it through SetEdgeTarget");
+    }
+  }
+}
+
 std::vector<Finding> RunLint(const std::vector<SourceFile>& files) {
   std::vector<File> prepared;
   prepared.reserve(files.size());
@@ -1497,6 +1572,7 @@ std::vector<Finding> RunLint(const std::vector<SourceFile>& files) {
   CheckWalGrammar(facts, &findings);
   CheckThreadAnnotations(prepared, &findings);
   CheckNameRegistry(prepared, facts, &findings);
+  CheckEdgeTargetOwnership(prepared, &findings);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               // Numeric rule order, so R10 sorts after R9, not after R1.

@@ -93,6 +93,12 @@
 ///      the kMetric* table — the AxmlStats introspection document and
 ///      axmlx_report aggregate by these strings, so an off-table or
 ///      double-defined name silently splits a series.
+///  R11 keepalive watch ownership: `ChildEdge::invoked_peer` is written
+///      (assigned, cleared, swapped or otherwise mutated) only inside the
+///      body of `AxmlPeer::SetEdgeTarget`, which gives up the edge's
+///      keepalive watch on the old target first. Any other write can leak
+///      a watch, and a leaked watch keeps the monitor — and the simulated
+///      clock — running after its transaction resolved.
 ///
 /// A finding can be suppressed by putting `lint:allow(Rn)` in a comment on
 /// the offending line or on the line directly above it (reserved for cases
@@ -109,7 +115,7 @@ struct SourceFile {
 
 /// One rule violation, anchored to file:line.
 struct Finding {
-  std::string rule;     ///< "R1".."R10".
+  std::string rule;     ///< "R1".."R11".
   std::string file;     ///< SourceFile::path of the offending file.
   int line = 1;         ///< 1-based line of the violation.
   std::string message;  ///< Human-readable explanation.

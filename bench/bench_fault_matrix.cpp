@@ -6,7 +6,9 @@
 // service tree. The headline column is `violations`: peers whose document
 // state disagrees with the transaction decisions. The paper's atomicity
 // argument (§3.2-§3.3) predicts this is zero in every cell — the process
-// exits non-zero if any cell disagrees, so CI can gate on it.
+// exits non-zero if any cell disagrees, so CI can gate on it. Two depth-2
+// cells (13 workers, keepalive on, crashes plus partitions or duplicates)
+// run in the full matrix and under --smoke.
 //
 // A second section checks the tick-delivery optimisation: a message flood
 // through peers that never opted into ticks must record tick_calls == 0
@@ -125,6 +127,40 @@ void RunMatrix() {
       "partitions abort cleanly via timeout + compensation, duplicates are "
       "absorbed by at-most-once delivery, and crashed peers rejoin from "
       "their WAL without tearing committed state.\n\n");
+}
+
+/// Depth-2 cells: 13 workers (fanout 3) with keepalive on, crash-restarts
+/// every 4th transaction, plus partitions or duplicates. Drops x crashes is
+/// left out: abort propagation across a crash is a separate open defect.
+/// Runs under --smoke too, with fewer transactions.
+void RunDepthTwoCells(bool smoke) {
+  std::printf(
+      "Depth-2 cells: uniform tree depth 2 / fanout 3, keepalive on, crash "
+      "every 4th txn; %d transactions per cell.\n\n",
+      smoke ? 8 : 16);
+  Table table({"cell", "drop", "dup", "partition", "crash", "commit",
+               "abort", "undecided", "faults", "restarts", "wal_ops",
+               "violations"});
+  struct Cell {
+    const char* label;
+    int partition_every;
+    double dup_rate;
+  };
+  const Cell cells[] = {{"d2-partition-crash", 3, 0.0},
+                        {"d2-dup-crash", 0, 0.05}};
+  uint64_t seed = 9400;
+  for (const Cell& cell : cells) {
+    FaultDrillOptions options = MatrixOptions(cell.label, seed++);
+    options.depth = 2;
+    options.transactions = smoke ? 8 : 16;
+    options.keepalive_interval = 25;
+    options.partition_every = cell.partition_every;
+    options.dup_rate = cell.dup_rate;
+    options.crash_every = 4;
+    AddMatrixRow(&table, cell.label, options);
+  }
+  table.Print();
+  std::printf("\n");
 }
 
 /// A peer that never opts into ticks: delivering to it must not trigger
@@ -262,10 +298,17 @@ BENCHMARK(BM_FaultDrillDropDup)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   const bool smoke = axmlx::bench::StripSmokeFlag(&argc, argv);
   if (smoke) {
+    RunDepthTwoCells(true);
     WriteReport(true);
+    if (total_violations > 0) {
+      std::fprintf(stderr, "\nFAIL: %d atomicity violation(s) in the "
+                   "depth-2 cells.\n", total_violations);
+      return 1;
+    }
     return 0;
   }
   RunMatrix();
+  RunDepthTwoCells(false);
   RunTickCheck();
   WriteReport(false);
   benchmark::Initialize(&argc, argv);

@@ -109,7 +109,8 @@ step "sanitizer build (-DAXMLX_SANITIZE=ON) + fault-labeled suites"
 SAN_DIR="$BUILD_DIR-asan"
 cmake -B "$SAN_DIR" -S . -DAXMLX_WERROR=ON -DAXMLX_SANITIZE=ON
 cmake --build "$SAN_DIR" -j "$JOBS" \
-  --target fault_injection_test fault_drill_test forensics_test
+  --target fault_injection_test fault_drill_test forensics_test \
+           replica_sync_test
 ctest --test-dir "$SAN_DIR" -L fault --output-on-failure -j "$JOBS"
 
 step "sanitizer isolation matrix (ctest -L mvcc)"
@@ -130,7 +131,8 @@ TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . -DAXMLX_WERROR=ON -DAXMLX_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target fault_injection_test fault_drill_test forensics_test \
-           isolation_matrix_test runtime_test runtime_diff_test
+           replica_sync_test isolation_matrix_test runtime_test \
+           runtime_diff_test
 ctest --test-dir "$TSAN_DIR" -L 'fault|mvcc|runtime' --output-on-failure \
   -j "$JOBS"
 

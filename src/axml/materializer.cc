@@ -200,14 +200,13 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
   std::unordered_set<std::string> select_set(select_names.begin(),
                                              select_names.end());
 
+  // A malformed call in scope fails the query even when it is not needed;
+  // only the calls that are needed are parsed in full.
   auto needed_by = [this](xml::NodeId sc,
                           const std::unordered_set<std::string>& wanted)
       -> Result<bool> {
-    AXMLX_ASSIGN_OR_RETURN(ServiceCallInfo info, ParseServiceCall(*doc_, sc));
-    for (const std::string& name : info.OutputNames(*doc_)) {
-      if (wanted.count(name) > 0) return true;
-    }
-    return false;
+    AXMLX_RETURN_IF_ERROR(ValidateServiceCall(*doc_, sc));
+    return ProducesAnyOf(*doc_, sc, wanted);
   };
 
   std::vector<xml::NodeId> materialized;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/strings.h"
 #include "query/eval.h"
@@ -15,14 +16,21 @@ bool IsScElement(const xml::Node& n) {
   return n.is_element() && n.name == "axml:sc";
 }
 
-Result<ScParam> ParseParam(const xml::Document& doc, xml::NodeId param_id) {
+// What ServiceCallInfo::results lists: every child of a call but comments,
+// its `axml:params` and its fault handlers.
+bool IsResultChild(const xml::Node& child) {
+  return child.type != xml::NodeType::kComment &&
+         child.name_id != xml::kNameAxmlParams &&
+         child.name_id != xml::kNameAxmlCatch &&
+         child.name_id != xml::kNameAxmlCatchAll;
+}
+
+// ParseParam, ParseRetry and ParseHandler run after ValidateServiceCall, so
+// the attributes it requires are present.
+ScParam ParseParam(const xml::Document& doc, xml::NodeId param_id) {
   const xml::Node* p = doc.Find(param_id);
   ScParam out;
-  const std::string* name = p->FindAttribute("name");
-  if (name == nullptr) {
-    return ParseError("axml:param is missing the 'name' attribute");
-  }
-  out.name = *name;
+  out.name = *p->FindAttribute("name");
   // A param holds either an <axml:value> child, a nested <axml:sc>, or (for
   // compatibility with the paper's terser listing) direct text.
   for (xml::NodeId c : p->children) {
@@ -58,7 +66,7 @@ Result<ScParam> ParseParam(const xml::Document& doc, xml::NodeId param_id) {
   return out;
 }
 
-Result<RetrySpec> ParseRetry(const xml::Document& doc, xml::NodeId retry_id) {
+RetrySpec ParseRetry(const xml::Document& doc, xml::NodeId retry_id) {
   const xml::Node* r = doc.Find(retry_id);
   RetrySpec spec;
   if (const std::string* t = r->FindAttribute("times")) {
@@ -84,21 +92,16 @@ Result<RetrySpec> ParseRetry(const xml::Document& doc, xml::NodeId retry_id) {
   return spec;
 }
 
-Result<FaultHandler> ParseHandler(const xml::Document& doc,
-                                  xml::NodeId handler_id) {
+FaultHandler ParseHandler(const xml::Document& doc, xml::NodeId handler_id) {
   const xml::Node* h = doc.Find(handler_id);
   FaultHandler out;
-  if (h->name == "axml:catch") {
-    const std::string* fault = h->FindAttribute("faultName");
-    if (fault == nullptr) {
-      return ParseError("axml:catch is missing the 'faultName' attribute");
-    }
-    out.fault_name = *fault;
+  if (h->name_id == xml::kNameAxmlCatch) {
+    out.fault_name = *h->FindAttribute("faultName");
   }
   for (xml::NodeId c : h->children) {
     const xml::Node* child = doc.Find(c);
     if (child->is_element() && child->name == "axml:retry") {
-      AXMLX_ASSIGN_OR_RETURN(out.retry, ParseRetry(doc, c));
+      out.retry = ParseRetry(doc, c);
       out.has_retry = true;
     }
   }
@@ -126,24 +129,63 @@ std::vector<std::string> ServiceCallInfo::OutputNames(
   return names;
 }
 
-Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
-                                         xml::NodeId id) {
+bool ProducesAnyOf(const xml::Document& doc, xml::NodeId sc,
+                   const std::unordered_set<std::string>& wanted) {
+  const xml::Node* n = doc.Find(sc);
+  if (n == nullptr) return false;
+  auto named = [&wanted](const std::string& name) {
+    return !name.empty() && wanted.count(name) > 0;
+  };
+  for (const char* key : {"outputName", "methodName"}) {
+    const std::string* v = n->FindAttribute(key);
+    if (v != nullptr && named(*v)) return true;
+  }
+  for (xml::NodeId c : n->children) {
+    const xml::Node* child = doc.Find(c);
+    if (IsResultChild(*child) && child->is_element() && named(child->name)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+Status ValidateServiceCall(const xml::Document& doc, xml::NodeId id) {
   const xml::Node* n = doc.Find(id);
   if (n == nullptr) return NotFound("ParseServiceCall: unknown node");
   if (!IsScElement(*n)) {
     return InvalidArgument("ParseServiceCall: node is not an axml:sc element");
   }
-  ServiceCallInfo info;
-  info.element = id;
   if (const std::string* mode = n->FindAttribute("mode")) {
-    if (*mode == "merge") {
-      info.mode = ScMode::kMerge;
-    } else if (*mode == "replace") {
-      info.mode = ScMode::kReplace;
-    } else {
+    if (*mode != "merge" && *mode != "replace") {
       return ParseError("axml:sc has unknown mode '" + *mode + "'");
     }
   }
+  for (xml::NodeId c : n->children) {
+    const xml::Node* child = doc.Find(c);
+    if (child->name_id == xml::kNameAxmlParams) {
+      for (xml::NodeId pc : child->children) {
+        const xml::Node* param = doc.Find(pc);
+        if (param->is_element() && param->name == "axml:param" &&
+            param->FindAttribute("name") == nullptr) {
+          return ParseError("axml:param is missing the 'name' attribute");
+        }
+      }
+    } else if (child->name_id == xml::kNameAxmlCatch &&
+               child->FindAttribute("faultName") == nullptr) {
+      return ParseError("axml:catch is missing the 'faultName' attribute");
+    }
+  }
+  return Status::Ok();
+}
+
+Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
+                                         xml::NodeId id) {
+  AXMLX_RETURN_IF_ERROR(ValidateServiceCall(doc, id));
+  const xml::Node* n = doc.Find(id);
+  ServiceCallInfo info;
+  info.element = id;
+  const std::string* mode = n->FindAttribute("mode");
+  if (mode != nullptr && *mode == "merge") info.mode = ScMode::kMerge;
   if (const std::string* v = n->FindAttribute("serviceNameSpace")) {
     info.service_namespace = *v;
   }
@@ -161,24 +203,19 @@ Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
   }
   for (xml::NodeId c : n->children) {
     const xml::Node* child = doc.Find(c);
-    if (child->type == xml::NodeType::kComment) continue;
-    if (child->is_element() && child->name == "axml:params") {
+    if (child->name_id == xml::kNameAxmlParams) {
       for (xml::NodeId pc : child->children) {
         const xml::Node* param = doc.Find(pc);
         if (param->is_element() && param->name == "axml:param") {
-          AXMLX_ASSIGN_OR_RETURN(ScParam p, ParseParam(doc, pc));
-          info.params.push_back(std::move(p));
+          info.params.push_back(ParseParam(doc, pc));
         }
       }
-      continue;
+    } else if (child->name_id == xml::kNameAxmlCatch ||
+               child->name_id == xml::kNameAxmlCatchAll) {
+      info.handlers.push_back(ParseHandler(doc, c));
+    } else if (IsResultChild(*child)) {
+      info.results.push_back(c);
     }
-    if (child->is_element() &&
-        (child->name == "axml:catch" || child->name == "axml:catchAll")) {
-      AXMLX_ASSIGN_OR_RETURN(FaultHandler h, ParseHandler(doc, c));
-      info.handlers.push_back(std::move(h));
-      continue;
-    }
-    info.results.push_back(c);
   }
   return info;
 }
@@ -201,6 +238,7 @@ std::vector<xml::NodeId> FindServiceCalls(const xml::Document& doc,
   // call can also be an inner node of the path tree.
   struct PathNode {
     bool is_call = false;
+    bool hidden = false;  ///< Not visible from `from`; never in the tree.
     std::vector<xml::NodeId> kids;  ///< Path-tree children, any order.
   };
   std::unordered_map<xml::NodeId, PathNode> tree;
@@ -208,13 +246,15 @@ std::vector<xml::NodeId> FindServiceCalls(const xml::Document& doc,
   std::vector<xml::NodeId> chain;
   for (xml::NodeId call : calls) {
     // Climb until `from` or a node already known to be visible from it;
-    // a bookkeeping ancestor or a detached root hides the call.
+    // a bookkeeping ancestor, a detached root or a node already known to
+    // be hidden hides the call, and with it every ancestor climbed through.
     chain.clear();
     xml::NodeId cur = call;
     bool visible = false;
     while (true) {
-      if (tree.count(cur) > 0) {
-        visible = true;
+      auto known = tree.find(cur);
+      if (known != tree.end()) {
+        visible = !known->second.hidden;
         break;
       }
       const xml::Node* n = doc.Find(cur);
@@ -223,7 +263,12 @@ std::vector<xml::NodeId> FindServiceCalls(const xml::Document& doc,
       cur = n->parent;
       if (cur == xml::kNullNode) break;
     }
-    if (!visible) continue;
+    if (!visible) {
+      // The call itself is climbed only by calls nested in its results,
+      // so only its ancestors are worth remembering.
+      for (size_t i = 1; i < chain.size(); ++i) tree[chain[i]].hidden = true;
+      continue;
+    }
     // Link the new stretch top-down below its nearest known ancestor.
     for (size_t i = chain.size(); i > 0; --i) {
       tree[cur].kids.push_back(chain[i - 1]);

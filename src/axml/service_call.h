@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -78,6 +79,17 @@ struct ServiceCallInfo {
 /// Parses the `<axml:sc>` element at `id`.
 Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
                                          xml::NodeId id);
+
+/// Returns the error ParseServiceCall would for the element at `id` (not a
+/// call, an unknown `mode`, an `axml:param` without `name`, an `axml:catch`
+/// without `faultName`) without building a ServiceCallInfo.
+Status ValidateServiceCall(const xml::Document& doc, xml::NodeId id);
+
+/// True when one of the names ServiceCallInfo::OutputNames lists for the
+/// call at `sc` is in `wanted`, read in place: lazy evaluation picks the
+/// calls it needs without parsing them.
+bool ProducesAnyOf(const xml::Document& doc, xml::NodeId sc,
+                   const std::unordered_set<std::string>& wanted);
 
 /// Returns all embedded service-call elements in the subtree rooted at
 /// `from`, in document order. Calls nested inside `axml:params` (parameter

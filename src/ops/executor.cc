@@ -86,7 +86,8 @@ Status Executor::InsertData(const xml::Document& fragment, xml::NodeId parent,
     edit.kind = xml::Edit::Kind::kInsertSubtree;
     edit.node = copy;
     edit.parent = parent;
-    edit.index = doc_->IndexInParent(copy);
+    edit.index = has_index ? doc_->IndexInParent(copy)
+                           : doc_->Find(parent)->children.size() - 1;
     edit.nodes_affected = doc_->SubtreeSize(copy);
     effect->edits.Append(std::move(edit));
     effect->inserted.push_back(copy);

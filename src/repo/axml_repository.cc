@@ -158,10 +158,13 @@ Status AxmlRepository::SetReplica(const overlay::PeerId& original,
     return NotFound("unknown peer in replica mapping");
   }
   // Clone the documents (replication of "AXML documents ... on multiple
-  // peers", §1) and mirror the service definitions.
+  // peers", §1) and mirror the service definitions. Each copy is a tracked
+  // replica copy, so the original's first push ships only what changed
+  // since (DESIGN.md §8).
   for (const std::string& name : orig->repository().DocumentNames()) {
-    const xml::Document* doc = orig->repository().GetDocument(name);
-    AXMLX_RETURN_IF_ERROR(rep->repository().AddDocument(doc->Clone()));
+    xml::Document* doc = orig->repository().GetDocument(name);
+    AXMLX_RETURN_IF_ERROR(
+        rep->repository().AddDocument(doc->CloneForReplica()));
   }
   for (const std::string& name : orig->repository().ServiceNames()) {
     if (rep->repository().FindService(name) != nullptr) continue;

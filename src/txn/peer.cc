@@ -358,7 +358,12 @@ void AxmlPeer::InvokeChild(Ctx* ctx, ChildEdge* edge,
   if (options_.use_chaining) {
     m.headers[kHdrChain] = ctx->chain.Serialize();
   }
-  m.body = EncodeParams(edge->def.params);
+  // Subcall params are templates over this context's params, like ops.
+  Params params = edge->def.params;
+  for (auto& [name, value] : params) {
+    value = service::SubstituteParams(value, ctx->params);
+  }
+  m.body = EncodeParams(params);
   m.attachment = ReuseFor(*ctx);
   auto sent = net->Send(std::move(m));
   if (!sent.ok()) {

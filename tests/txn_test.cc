@@ -235,19 +235,28 @@ TEST(TxnProtocol, ParamsReachRemoteServices) {
   root.document = "DataA";
   root.subcalls.push_back({"B", "Record", {}, {{"who", "federer"}}});
   ASSERT_TRUE(repo.HostService("A", std::move(root)).ok());
+  // The same subcall with its param templated over the transaction params.
+  service::ServiceDefinition templated;
+  templated.name = "Templated";
+  templated.document = "DataA";
+  templated.subcalls.push_back({"B", "Record", {}, {{"who", "${who}"}}});
+  ASSERT_TRUE(repo.HostService("A", std::move(templated)).ok());
   auto outcome = repo.RunTransaction("A", "TP", "Root");
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->status.ok()) << outcome->status;
+  outcome = repo.RunTransaction("A", "TT", "Templated", {{"who", "nadal"}});
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_TRUE(outcome->status.ok()) << outcome->status;
   xml::Document* doc = repo.FindPeer("B")->repository().GetDocument("DataB");
-  bool found = false;
-  doc->Walk(doc->root(), [&found](const xml::Node& n) {
+  std::vector<std::string> who;
+  doc->Walk(doc->root(), [&who](const xml::Node& n) {
     if (n.is_element() && n.name == "entry") {
-      const std::string* who = n.FindAttribute("who");
-      found = who != nullptr && *who == "federer";
+      const std::string* w = n.FindAttribute("who");
+      who.push_back(w != nullptr ? *w : std::string());
     }
     return true;
   });
-  EXPECT_TRUE(found);
+  EXPECT_EQ(who, (std::vector<std::string>{"federer", "nadal"}));
 }
 
 TEST(TxnProtocol, PeerIndependentCompensationUsesPlans) {

@@ -2,8 +2,8 @@
 # CI gate for axmlx: warnings-as-errors build, full test suite, project
 # linter (plus a machine-readable `axmlx_lint --json` artifact), a perf
 # smoke stage (which includes the bench_obs_overhead flight-recorder budget
-# gate), an end-to-end forensics render, the fault-injection suites under
-# ASan/UBSan, and finally the fault+mvcc suites under TSan
+# gate), an end-to-end forensics render, the fault-injection, call-catalog
+# and MVCC suites under ASan/UBSan, and finally the fault+mvcc suites under TSan
 # (-DAXMLX_SANITIZE=thread). Exits non-zero on the first failure. See
 # DESIGN.md §6b.
 #
@@ -112,6 +112,13 @@ cmake --build "$SAN_DIR" -j "$JOBS" \
   --target fault_injection_test fault_drill_test forensics_test \
            replica_sync_test
 ctest --test-dir "$SAN_DIR" -L fault --output-on-failure -j "$JOBS"
+
+step "sanitizer call catalog (ctest -L catalog)"
+# The call catalog keeps node ids across document mutations and trusts them
+# while the call-shape generation stands (DESIGN.md §8): a stale id would
+# read a recycled slab slot, which ASan reports here.
+cmake --build "$SAN_DIR" -j "$JOBS" --target discovery_diff_test
+ctest --test-dir "$SAN_DIR" -L catalog --output-on-failure -j "$JOBS"
 
 step "sanitizer isolation matrix (ctest -L mvcc)"
 # The MVCC interleaving matrix under ASan: version-chain bookkeeping,

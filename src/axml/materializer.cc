@@ -53,11 +53,18 @@ Result<ServiceRequest> Materializer::ResolveRequest(
   return req;
 }
 
+Result<ServiceResponse> Materializer::Invoke(const ServiceRequest& request) {
+  const uint64_t before = doc_->mutation_count();
+  Result<ServiceResponse> response = invoker_(request);
+  if (doc_->mutation_count() != before) ++foreign_changes_;
+  return response;
+}
+
 Result<ServiceResponse> Materializer::InvokeWithHandlers(
     const ServiceCallInfo& info, const ServiceRequest& request,
     bool* fault_absorbed) {
   *fault_absorbed = false;
-  Result<ServiceResponse> response = invoker_(request);
+  Result<ServiceResponse> response = Invoke(request);
   ++stats_.calls_invoked;
   if (response.ok()) return response;
   if (response.status().code() != StatusCode::kServiceFault) {
@@ -79,7 +86,7 @@ Result<ServiceResponse> Materializer::InvokeWithHandlers(
     }
     for (int attempt = 0; attempt < handler.retry.times; ++attempt) {
       ++stats_.retries;
-      Result<ServiceResponse> retried = invoker_(retry_request);
+      Result<ServiceResponse> retried = Invoke(retry_request);
       ++stats_.calls_invoked;
       if (retried.ok()) return retried;
       if (retried.status().code() != StatusCode::kServiceFault) return retried;
@@ -200,15 +207,6 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
   std::unordered_set<std::string> select_set(select_names.begin(),
                                              select_names.end());
 
-  // A malformed call in scope fails the query even when it is not needed;
-  // only the calls that are needed are parsed in full.
-  auto needed_by = [this](xml::NodeId sc,
-                          const std::unordered_set<std::string>& wanted)
-      -> Result<bool> {
-    AXMLX_RETURN_IF_ERROR(ValidateServiceCall(*doc_, sc));
-    return ProducesAnyOf(*doc_, sc, wanted);
-  };
-
   std::vector<xml::NodeId> materialized;
   std::unordered_set<xml::NodeId> done;
   // Pass 1: predicate inputs under all candidate source nodes.
@@ -216,14 +214,8 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
       query::EvaluatePathFrom(*doc_, scope, q.source);
   if (!where_set.empty()) {
     for (xml::NodeId src : sources) {
-      for (xml::NodeId sc : FindServiceCalls(*doc_, src)) {
-        if (done.count(sc) > 0) continue;
-        AXMLX_ASSIGN_OR_RETURN(bool needed, needed_by(sc, where_set));
-        if (!needed) continue;
-        AXMLX_RETURN_IF_ERROR(MaterializeCall(sc).status());
-        done.insert(sc);
-        materialized.push_back(sc);
-      }
+      AXMLX_RETURN_IF_ERROR(MaterializeNeeded(
+          src, where_set, /*count_skipped=*/false, &done, &materialized));
     }
   }
   // Pass 2: select inputs under surviving bindings only.
@@ -231,19 +223,89 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
     if (q.where != nullptr && !query::EvaluatePredicate(*doc_, src, *q.where)) {
       continue;
     }
-    for (xml::NodeId sc : FindServiceCalls(*doc_, src)) {
-      if (done.count(sc) > 0) continue;
-      AXMLX_ASSIGN_OR_RETURN(bool needed, needed_by(sc, select_set));
-      if (!needed) {
-        ++stats_.calls_skipped;
-        continue;
-      }
-      AXMLX_RETURN_IF_ERROR(MaterializeCall(sc).status());
-      done.insert(sc);
-      materialized.push_back(sc);
-    }
+    AXMLX_RETURN_IF_ERROR(MaterializeNeeded(
+        src, select_set, /*count_skipped=*/true, &done, &materialized));
   }
   return materialized;
+}
+
+Status Materializer::MaterializeNeeded(
+    xml::NodeId src, const std::unordered_set<std::string>& wanted,
+    bool count_skipped, std::unordered_set<xml::NodeId>* done,
+    std::vector<xml::NodeId>* materialized) {
+  // The calls visible from `src` now, as FindServiceCalls(src) lists them.
+  // Later materializations do not add to this list (a call that arrives in
+  // a result is seen by the next source), but they can change what the
+  // rest of it says, so each call is judged when its turn comes.
+  const CallView view = catalog_->VisibleFrom(doc_, src);
+  if (view.begin == view.end) return Status::Ok();
+  const CallIndex& index = *view.index;
+  const std::vector<xml::NodeId>& calls = index.calls();
+  // While the call-shape generation stands and no service has written to
+  // the document, the index judges the calls: only the needed ones and the
+  // first malformed one are visited. Once either moves, the rest are
+  // judged one by one against the live document.
+  const uint64_t generation = doc_->call_shape_generation();
+  const int64_t foreign = foreign_changes_;
+  std::vector<uint32_t> needed;
+  index.AppendNeeded(*doc_, wanted, view.begin, view.end, &needed);
+  std::vector<uint32_t> done_at;
+  // Order-insensitive: the positions are sorted below. lint:allow(R7)
+  for (xml::NodeId id : *done) {
+    const uint32_t pos = index.PositionOf(id);
+    if (pos >= view.begin && pos < view.end) done_at.push_back(pos);
+  }
+  std::sort(done_at.begin(), done_at.end());
+  // A malformed call fails the query even when it is not needed (unless
+  // an earlier source already materialized it).
+  uint32_t bad = view.end;
+  const Status* bad_status = nullptr;
+  for (const auto& [at, status] : index.malformed()) {
+    if (at < view.begin || done->count(calls[at]) > 0) continue;
+    if (at < view.end) {
+      bad = at;
+      bad_status = &status;
+    }
+    break;
+  }
+  // Counts [from, to) as skipped: none needed, none malformed.
+  auto skip = [&](uint32_t from, uint32_t to) {
+    if (!count_skipped) return;
+    const auto done_in =
+        std::lower_bound(done_at.begin(), done_at.end(), to) -
+        std::lower_bound(done_at.begin(), done_at.end(), from);
+    stats_.calls_skipped += static_cast<int>(to - from - done_in);
+  };
+  auto next_needed = needed.begin();
+  uint32_t pos = view.begin;
+  while (pos < view.end) {
+    if (doc_->call_shape_generation() == generation &&
+        foreign_changes_ == foreign) {
+      while (next_needed != needed.end() && *next_needed < pos) ++next_needed;
+      const uint32_t next = std::min(
+          bad, next_needed != needed.end() ? *next_needed : view.end);
+      skip(pos, next);
+      pos = next;
+      if (pos == view.end) break;
+      if (pos == bad) return *bad_status;
+    } else {
+      const xml::NodeId sc = calls[pos];
+      if (done->count(sc) == 0) {
+        AXMLX_RETURN_IF_ERROR(ValidateServiceCall(*doc_, sc));
+        if (!ProducesAnyOf(*doc_, sc, wanted)) {
+          skip(pos, pos + 1);
+          ++pos;
+          continue;
+        }
+      }
+    }
+    const xml::NodeId sc = calls[pos++];
+    if (done->count(sc) > 0) continue;
+    AXMLX_RETURN_IF_ERROR(MaterializeCall(sc).status());
+    done->insert(sc);
+    materialized->push_back(sc);
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<xml::NodeId>> Materializer::MaterializeAll(
@@ -254,7 +316,9 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeAll(
   // round bound to tame pathological self-reproducing services.
   for (int round = 0; round < kMaxNestingDepth; ++round) {
     bool progress = false;
-    for (xml::NodeId sc : FindServiceCalls(*doc_, scope)) {
+    const CallView view = catalog_->VisibleFrom(doc_, scope);
+    for (uint32_t pos = view.begin; pos < view.end; ++pos) {
+      const xml::NodeId sc = view.index->calls()[pos];
       if (!seen.insert(sc).second) continue;
       AXMLX_RETURN_IF_ERROR(MaterializeCall(sc).status());
       materialized.push_back(sc);

@@ -5,8 +5,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "axml/call_catalog.h"
 #include "axml/service_call.h"
 #include "common/status.h"
 #include "query/ast.h"
@@ -63,9 +65,18 @@ struct MaterializeStats {
 /// dynamically)" (§3.1).
 class Materializer {
  public:
-  /// Does not take ownership; `doc`, `log` must outlive the materializer.
-  Materializer(xml::Document* doc, ServiceInvoker invoker, xml::EditLog* log)
-      : doc_(doc), invoker_(std::move(invoker)), log_(log) {}
+  /// Does not take ownership; `doc`, `log` and `catalog` must outlive the
+  /// materializer. `catalog` is the document's call catalog; without one
+  /// the materializer keeps its own for its lifetime.
+  Materializer(xml::Document* doc, ServiceInvoker invoker, xml::EditLog* log,
+               CallCatalog* catalog = nullptr)
+      : doc_(doc),
+        invoker_(std::move(invoker)),
+        log_(log),
+        catalog_(catalog != nullptr ? catalog : &own_catalog_) {}
+
+  Materializer(const Materializer&) = delete;
+  Materializer& operator=(const Materializer&) = delete;
 
   /// Supplies a value for `$name` external parameters.
   void SetExternal(const std::string& name, const std::string& value) {
@@ -100,9 +111,27 @@ class Materializer {
                                              const ServiceRequest& request,
                                              bool* fault_absorbed);
 
+  /// Calls invoker_, noting in foreign_changes_ when the service changed
+  /// this document itself.
+  Result<ServiceResponse> Invoke(const ServiceRequest& request);
+
+  /// One source of lazy evaluation: materializes, in document order, the
+  /// calls visible from `src` that produce a name in `wanted` and are not
+  /// yet `done`; fails with the Status of the first malformed call in that
+  /// order, as checking each call of FindServiceCalls(src) would.
+  Status MaterializeNeeded(xml::NodeId src,
+                           const std::unordered_set<std::string>& wanted,
+                           bool count_skipped,
+                           std::unordered_set<xml::NodeId>* done,
+                           std::vector<xml::NodeId>* materialized);
+
   xml::Document* doc_;
   ServiceInvoker invoker_;
   xml::EditLog* log_;
+  CallCatalog own_catalog_;
+  CallCatalog* catalog_;
+  /// Services that changed doc_ while being invoked.
+  int64_t foreign_changes_ = 0;
   std::map<std::string, std::string> externals_;
   MaterializeStats stats_;
   int depth_ = 0;

@@ -13,16 +13,7 @@ namespace axmlx::axml {
 namespace {
 
 bool IsScElement(const xml::Node& n) {
-  return n.is_element() && n.name == "axml:sc";
-}
-
-// What ServiceCallInfo::results lists: every child of a call but comments,
-// its `axml:params` and its fault handlers.
-bool IsResultChild(const xml::Node& child) {
-  return child.type != xml::NodeType::kComment &&
-         child.name_id != xml::kNameAxmlParams &&
-         child.name_id != xml::kNameAxmlCatch &&
-         child.name_id != xml::kNameAxmlCatchAll;
+  return n.is_element() && n.name_id == xml::kNameAxmlSc;
 }
 
 // ParseParam, ParseRetry and ParseHandler run after ValidateServiceCall, so
@@ -110,6 +101,11 @@ FaultHandler ParseHandler(const xml::Document& doc, xml::NodeId handler_id) {
 
 }  // namespace
 
+bool IsResultChild(const xml::Node& child) {
+  return child.type != xml::NodeType::kComment &&
+         !query::IsBookkeepingElement(child);
+}
+
 std::vector<std::string> ServiceCallInfo::OutputNames(
     const xml::Document& doc) const {
   std::vector<std::string> names;
@@ -165,7 +161,7 @@ Status ValidateServiceCall(const xml::Document& doc, xml::NodeId id) {
     if (child->name_id == xml::kNameAxmlParams) {
       for (xml::NodeId pc : child->children) {
         const xml::Node* param = doc.Find(pc);
-        if (param->is_element() && param->name == "axml:param" &&
+        if (param->name_id == xml::kNameAxmlParam &&
             param->FindAttribute("name") == nullptr) {
           return ParseError("axml:param is missing the 'name' attribute");
         }
@@ -206,7 +202,7 @@ Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
     if (child->name_id == xml::kNameAxmlParams) {
       for (xml::NodeId pc : child->children) {
         const xml::Node* param = doc.Find(pc);
-        if (param->is_element() && param->name == "axml:param") {
+        if (param->name_id == xml::kNameAxmlParam) {
           info.params.push_back(ParseParam(doc, pc));
         }
       }
@@ -309,10 +305,7 @@ std::vector<xml::NodeId> ResultChildren(const xml::Document& doc,
   const xml::Node* n = doc.Find(sc);
   if (n == nullptr) return out;
   for (xml::NodeId c : n->children) {
-    const xml::Node* child = doc.Find(c);
-    if (child->type == xml::NodeType::kComment) continue;
-    if (query::IsBookkeepingElement(*child)) continue;
-    out.push_back(c);
+    if (IsResultChild(*doc.Find(c))) out.push_back(c);
   }
   return out;
 }

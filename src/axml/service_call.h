@@ -68,13 +68,20 @@ struct ServiceCallInfo {
   int64_t frequency = 0;
   std::vector<ScParam> params;
   std::vector<FaultHandler> handlers;
-  /// Current materialized result children (non-bookkeeping children).
+  /// Current materialized result children (see IsResultChild).
   std::vector<xml::NodeId> results;
 
   /// All element names this call is known to produce: `output_name` plus the
   /// names of current result elements plus the method name.
   std::vector<std::string> OutputNames(const xml::Document& doc) const;
 };
+
+/// The one definition of a call's result: a child of an `axml:sc` is a
+/// result unless it is a comment or a bookkeeping element (`axml:params`,
+/// a fault handler, or a stray `axml:retry`). ServiceCallInfo::results,
+/// ResultChildren, ProducesAnyOf and the call catalog all use it, so a
+/// child that selection counts as an output is one replace mode removes.
+bool IsResultChild(const xml::Node& child);
 
 /// Parses the `<axml:sc>` element at `id`.
 Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
@@ -98,8 +105,8 @@ bool ProducesAnyOf(const xml::Document& doc, xml::NodeId sc,
 std::vector<xml::NodeId> FindServiceCalls(const xml::Document& doc,
                                           xml::NodeId from);
 
-/// Returns the current result children (non-bookkeeping children) of the
-/// service call at `sc`.
+/// Returns the current result children (see IsResultChild) of the service
+/// call at `sc`.
 std::vector<xml::NodeId> ResultChildren(const xml::Document& doc,
                                         xml::NodeId sc);
 

@@ -50,7 +50,7 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
   const query::Query& q = *location;
   // "The <location> query evaluation may involve service call
   // materializations, and as such, updates to the AXML document." (§3.1)
-  axml::Materializer materializer(doc_, invoker_, &effect->edits);
+  axml::Materializer materializer(doc_, invoker_, &effect->edits, catalog_);
   for (const auto& [name, value] : externals_) {
     materializer.SetExternal(name, value);
   }

@@ -88,6 +88,12 @@ class Executor {
   /// DurableStore reuse evaluation buffers across operations.
   void SetEvalContext(query::EvalContext* ctx) { eval_ctx_ = ctx; }
 
+  /// Selects the calls lazy evaluation materializes through `catalog`, the
+  /// document's call catalog (caller-owned; must outlive the executor).
+  /// Lets the document's host keep one catalog across operations; without
+  /// one, each operation indexes the document's calls afresh.
+  void SetCallCatalog(axml::CallCatalog* catalog) { catalog_ = catalog; }
+
   /// Stamps an OP_EXEC flight-recorder event per executed operation (not
   /// owned; null — the default — records nothing).
   void SetRecorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
@@ -141,6 +147,7 @@ class Executor {
   axml::ServiceInvoker invoker_;
   std::vector<std::pair<std::string, std::string>> externals_;
   query::EvalContext* eval_ctx_ = nullptr;
+  axml::CallCatalog* catalog_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
 };
 

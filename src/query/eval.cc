@@ -30,10 +30,12 @@ bool IsBookkeepingElement(const xml::Node& node) {
 
 namespace {
 
-/// True if `name_id` is one of the reserved AXML bookkeeping/service-call
-/// names — such elements are never query-visible match results.
-bool IsReservedName(xml::NameId name_id) {
-  return name_id < xml::kNumReservedNames;
+/// True if `name_id` names a service call or a bookkeeping element — such
+/// elements are never query-visible match results. (`axml:param` is
+/// reserved too, but a stray one outside `axml:params` is an ordinary
+/// element to queries.)
+bool NeverMatches(xml::NameId name_id) {
+  return name_id <= xml::kNameAxmlRetry;
 }
 
 /// Appends all query-visible descendant *elements* of `id` in pre-order,
@@ -145,7 +147,7 @@ void CollectDescendantsForStep(const xml::Document& doc, xml::NodeId ctx_node,
     CollectDescendantsWalk(doc, ctx_node, want, ctx, out);
     return;
   }
-  if (want == xml::kNoName || IsReservedName(want)) return;  // can't match
+  if (want == xml::kNoName || NeverMatches(want)) return;  // can't match
   std::vector<xml::NodeId>& cands = ctx->candidates;
   cands.clear();
   doc.CollectElementsNamed(want, &cands);

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "axml/call_catalog.h"
 #include "axml/materializer.h"
 #include "axml/service_call.h"
 #include "baseline/locked_executor.h"
@@ -112,6 +113,13 @@ class Repository {
   const xml::Document* GetDocument(const std::string& name) const;
   std::vector<std::string> DocumentNames() const;
 
+  /// The call catalog of the document hosted as `name` (DESIGN.md §8),
+  /// created empty on first use. It follows a replaced document by its
+  /// identity, so PutDocument needs no hook.
+  axml::CallCatalog* Catalog(const std::string& name) {
+    return &catalogs_[name];
+  }
+
   Status AddService(ServiceDefinition service);
   /// Adds or replaces a service definition.
   void PutService(ServiceDefinition service);
@@ -120,6 +128,7 @@ class Repository {
 
  private:
   std::map<std::string, std::unique_ptr<xml::Document>> documents_;
+  std::map<std::string, axml::CallCatalog> catalogs_;
   std::map<std::string, ServiceDefinition> services_;
 };
 

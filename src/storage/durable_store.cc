@@ -533,6 +533,7 @@ Result<const ops::OpEffect*> DurableStore::ApplyOp(const std::string& txn,
   if (target == nullptr) return NotFound("unknown document " + doc);
   ops::Executor executor(target, invoker_);
   executor.SetEvalContext(&eval_ctx_);
+  executor.SetCallCatalog(Catalog(doc));
   executor.SetRecorder(recorder_);
   for (const auto& [name, value] : externals_) {
     executor.SetExternal(name, value);
@@ -600,6 +601,7 @@ Status DurableStore::CompensateTxn(const std::string& txn, bool journal) {
       }
       ops::Executor executor(target, invoker_);
       executor.SetEvalContext(&eval_ctx_);
+      executor.SetCallCatalog(Catalog(doc));
       executor.SetRecorder(recorder_);
       AXMLX_RETURN_IF_ERROR(executor.Execute(comp_op).status());
     }

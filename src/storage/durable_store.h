@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "axml/call_catalog.h"
 #include "axml/materializer.h"
 #include "common/status.h"
 #include "obs/flight_recorder.h"
@@ -109,6 +110,13 @@ class DurableStore {
 
   xml::Document* Get(const std::string& name);
   std::vector<std::string> DocumentNames() const;
+
+  /// The call catalog the store's executors use for document `name`
+  /// (DESIGN.md §8), created empty on first use; it follows a replaced or
+  /// recovered document by its identity.
+  axml::CallCatalog* Catalog(const std::string& name) {
+    return &catalogs_[name];
+  }
 
   // --- Transactional execution ---------------------------------------------
 
@@ -281,6 +289,7 @@ class DurableStore {
   FlushPolicy flush_policy_;
   std::map<std::string, std::string> externals_;
   std::map<std::string, std::unique_ptr<xml::Document>> documents_;
+  std::map<std::string, axml::CallCatalog> catalogs_;
   std::map<std::string, TxnState> active_txns_;
   Stats stats_;
   obs::MetricsRegistry metrics_;

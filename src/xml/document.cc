@@ -13,7 +13,8 @@ namespace {
 /// Well-known AXML names, interned by every document in this fixed order so
 /// the kNameAxml* constants in node.h hold everywhere.
 constexpr const char* kReservedNames[kNumReservedNames] = {
-    "axml:sc", "axml:params", "axml:catch", "axml:catchAll", "axml:retry"};
+    "axml:sc",       "axml:params", "axml:catch",
+    "axml:catchAll", "axml:retry",  "axml:param"};
 
 const std::string kEmptyName;
 
@@ -51,6 +52,7 @@ std::unique_ptr<Document> Document::Clone() const {
   copy->next_id_ = next_id_;
   copy->root_ = root_;
   copy->live_nodes_ = live_nodes_;
+  copy->call_shape_generation_ = call_shape_generation_;
   copy->pages_.reserve(pages_.size());
   copy->chunks_.reserve(chunks_.size());
   for (size_t p = 0; p < pages_.size(); ++p) {
@@ -108,6 +110,19 @@ bool Document::SyncReplica(Document* replica) {
   for (NodeId id : changed_ids_) {
     const Node* src = Find(id);
     const Node* old = r.Find(id);
+    // The records are written directly, so the replica's call-shape
+    // generation moves here: for any reserved record on either side, except
+    // one that kept its name, place and attributes (only its children
+    // changed, and each child that came or went is a touched id itself).
+    const bool was_reserved = old != nullptr && IsReservedName(old->name_id);
+    if (r.call_shape_watched_ &&
+        (was_reserved || (src != nullptr && IsReservedName(src->name_id)))) {
+      const bool children_only = was_reserved && src != nullptr &&
+                                 old->name_id == src->name_id &&
+                                 old->parent == src->parent &&
+                                 old->attributes == src->attributes;
+      if (!children_only) r.MoveCallShape();
+    }
     if (src == nullptr) {
       if (old != nullptr) r.FreeNode(id);
       continue;
@@ -149,9 +164,25 @@ bool Document::SyncReplica(Document* replica) {
   return true;
 }
 
-void Document::RecordVersion(NodeId id) {
+void Document::RecordVersion(NodeId id, Touch touch, NameId becomes) {
   ++mutations_;
   if (track_changes_) changed_ids_.push_back(id);
+  // A child list changes only by attaching or destroying children, and
+  // those carry the change: their own records (kAttach, or kRecord for each
+  // destroyed node) move the generation when they hold a reserved element.
+  // So the child-list change itself never does — in particular an
+  // `axml:sc` gaining or losing plain results.
+  if (call_shape_watched_ && touch != Touch::kChildList) {
+    bool shape = IsReservedName(becomes);
+    if (!shape) {
+      const Node* n = Find(id);
+      if (n != nullptr) {
+        shape = touch == Touch::kRecord ? IsReservedName(n->name_id)
+                                        : HoldsReservedElement(id);
+      }
+    }
+    if (shape) MoveCallShape();
+  }
   if (!versioning_enabled_) return;
   VersionRecord rec;
   rec.version = ++version_;
@@ -308,10 +339,11 @@ void Document::MapIdToSlot(NodeId id, uint32_t slot) {
   ++live_nodes_;
 }
 
-NodeId Document::NewNode(NodeType type) {
+NodeId Document::NewNode(NodeType type, NameId name_id) {
   uint32_t slot = AllocSlot();
   NodeId id = next_id_;
-  RecordVersion(id);  // "absent" undo image: the id did not exist before
+  // "absent" undo image: the id did not exist before
+  RecordVersion(id, Touch::kRecord, name_id);
   MapIdToSlot(id, slot);
   Node& node = NodeAt(slot);
   node.id = id;
@@ -360,7 +392,7 @@ void Document::FreeNode(NodeId id) {
 
 NodeId Document::CreateElement(std::string_view name) {
   NameId name_id = InternName(name);
-  NodeId id = NewNode(NodeType::kElement);
+  NodeId id = NewNode(NodeType::kElement, name_id);
   Node* node = FindMutable(id);
   node->name = name;
   node->name_id = name_id;
@@ -406,8 +438,8 @@ Status Document::InsertAt(NodeId parent, size_t index, NodeId child) {
       return InvalidArgument("InsertAt: would create a cycle");
     }
   }
-  RecordVersion(parent);
-  RecordVersion(child);
+  RecordVersion(parent, Touch::kChildList);
+  RecordVersion(child, Touch::kAttach);
   // RecordVersion may rehash history_ but never touches the slab, so the
   // Node pointers above stay valid.
   p->children.insert(p->children.begin() + static_cast<ptrdiff_t>(index),
@@ -425,7 +457,7 @@ Result<Document::RemovedInfo> Document::RemoveSubtree(NodeId id) {
   RemovedInfo info;
   info.parent = n->parent;
   if (n->parent != kNullNode) {
-    RecordVersion(n->parent);
+    RecordVersion(n->parent, Touch::kChildList);
     Node* p = FindMutable(n->parent);
     auto it = std::find(p->children.begin(), p->children.end(), id);
     info.index = static_cast<size_t>(it - p->children.begin());
@@ -470,7 +502,7 @@ Status Document::RenameElement(NodeId id, const std::string& name) {
   }
   NameId name_id = InternName(name);
   if (name_id == n->name_id) return Status::Ok();
-  RecordVersion(id);
+  RecordVersion(id, Touch::kRecord, name_id);
   // The entry under the old name goes stale; CollectElementsNamed filters
   // and sweeps it on the next lookup.
   n->name = name;
@@ -566,20 +598,18 @@ Status Document::RestoreSubtree(const std::vector<Node>& nodes,
       return AlreadyExists("RestoreSubtree: node id is live");
     }
   }
-  RecordVersion(parent);
+  RecordVersion(parent, Touch::kChildList);
   for (const Node& n : nodes) {
-    RecordVersion(n.id);  // "absent": the id was free before the restore
+    // Re-intern from the spelling: the record may come from a document with
+    // a different name table (diff replay between replicas).
+    const NameId name_id = n.is_element() ? InternName(n.name) : kNoName;
+    // "absent": the id was free before the restore
+    RecordVersion(n.id, Touch::kRecord, name_id);
     uint32_t slot = AllocSlot();
     Node& stored = NodeAt(slot);
     stored = n;
-    // Re-intern from the spelling: the record may come from a document with
-    // a different name table (diff replay between replicas).
-    if (stored.is_element()) {
-      stored.name_id = InternName(stored.name);
-      name_index_[stored.name_id].push_back(stored.id);
-    } else {
-      stored.name_id = kNoName;
-    }
+    stored.name_id = name_id;
+    if (stored.is_element()) name_index_[name_id].push_back(stored.id);
     MapIdToSlot(n.id, slot);
     ++storage_stats_.nodes_allocated;
   }
@@ -658,7 +688,24 @@ Status Document::AssignPreOrderIds(const std::vector<NodeId>& ids,
   gen_of_id_ = std::move(gen_of_id);
   root_ = remap[root_];
   next_id_ = next_id;
+  // Every id changed under the records' feet.
+  MoveCallShape();
   return Status::Ok();
+}
+
+bool Document::HoldsReservedElement(NodeId id) const {
+  std::vector<NodeId> local_stack;
+  std::vector<NodeId>& stack = concurrent_reads_ ? local_stack : walk_scratch_;
+  stack.clear();
+  stack.push_back(id);
+  while (!stack.empty()) {
+    const Node* n = Find(stack.back());
+    stack.pop_back();
+    if (n == nullptr) continue;
+    if (IsReservedName(n->name_id)) return true;
+    stack.insert(stack.end(), n->children.begin(), n->children.end());
+  }
+  return false;
 }
 
 void Document::CollectElementsNamed(NameId name_id,

@@ -105,6 +105,27 @@ class Document {
   /// Counts every recorded node-state change, versioning on or off.
   uint64_t mutation_count() const { return mutations_; }
 
+  /// Call-shape generation (DESIGN.md §8). After WatchCallShape() it moves
+  /// at the next mutation that touches a reserved AXML element (node.h):
+  /// one is created, destroyed, renamed to or from a reserved name,
+  /// re-attributed, or attached inside a subtree. A child-list change by
+  /// itself does not count — the children attached or destroyed carry it —
+  /// so materializing a call and compensating it, which only swap an
+  /// `axml:sc`'s plain result children, leave it alone. Whatever was
+  /// derived from the calls' shape (which calls are visible, in what order,
+  /// their attributes and their validity) at a watched generation stays
+  /// valid while the generation and identity() are unchanged.
+  uint64_t call_shape_generation() const { return call_shape_generation_; }
+
+  /// Returns call_shape_generation() and makes the next call-shape change
+  /// move it. Changes while nobody watches leave it alone — every holder
+  /// of an older value already sees it differ — so building and loading a
+  /// document pays nothing for it.
+  uint64_t WatchCallShape() {
+    call_shape_watched_ = true;
+    return call_shape_generation_;
+  }
+
   NodeId root() const { return root_; }
 
   /// Returns the node or nullptr if the id is unknown (e.g. deleted).
@@ -402,7 +423,8 @@ class Document {
   /// advancing next_id_ past `id`.
   void MapIdToSlot(NodeId id, uint32_t slot);
 
-  NodeId NewNode(NodeType type);
+  /// `name_id` is the name the new node will carry (kNoName: none).
+  NodeId NewNode(NodeType type, NameId name_id = kNoName);
 
   /// Returns `id`'s slot to the free list (generation bump + field reset so
   /// the slot's string/vector capacity is recycled).
@@ -423,10 +445,31 @@ class Document {
     Node state;
   };
 
+  /// What a mutation is about to change on the node it records, as far as
+  /// the call-shape generation cares.
+  enum class Touch {
+    kRecord,     ///< Existence, name, attributes or text.
+    kChildList,  ///< Only the child list (the node is the parent).
+    kAttach,     ///< The node's whole subtree is being attached.
+  };
+
   /// Pushes the current state of `id` (or an "absent" record) onto its undo
-  /// chain under a fresh version number. No-op unless versioning is on.
-  /// Mutators call this immediately before changing the node.
-  void RecordVersion(NodeId id);
+  /// chain under a fresh version number (versioning on only), and moves the
+  /// call-shape generation when the change touches a reserved element.
+  /// `becomes` is the name a kRecord change gives the node (kNoName: the
+  /// name stays). Mutators call this immediately before changing the node.
+  void RecordVersion(NodeId id, Touch touch = Touch::kRecord,
+                     NameId becomes = kNoName);
+
+  /// True when the subtree rooted at `id` holds a reserved element.
+  bool HoldsReservedElement(NodeId id) const;
+
+  /// Moves the call-shape generation if someone watches it.
+  void MoveCallShape() {
+    if (!call_shape_watched_) return;
+    ++call_shape_generation_;
+    call_shape_watched_ = false;
+  }
 
   const Node* FindVersioned(NodeId id, const ReadView& view) const;
 
@@ -451,6 +494,8 @@ class Document {
   // name the replica copy the last push produced.
   uint64_t identity_ = 0;
   uint64_t mutations_ = 0;
+  uint64_t call_shape_generation_ = 0;
+  bool call_shape_watched_ = false;
   bool track_changes_ = false;
   std::vector<NodeId> changed_ids_;
   uint64_t synced_identity_ = 0;

@@ -29,13 +29,21 @@ inline constexpr NameId kNoName = 0xFFFFFFFFu;
 
 /// Well-known AXML tag names, interned by every `Document` at construction
 /// in this fixed order so the ids below are valid in every document and the
-/// query evaluator can classify nodes without string compares.
+/// query evaluator can classify nodes without string compares. They are
+/// also the names whose elements make up a service call's shape: a change
+/// to any of them moves Document::call_shape_generation().
 inline constexpr NameId kNameAxmlSc = 0;        ///< "axml:sc"
 inline constexpr NameId kNameAxmlParams = 1;    ///< "axml:params"
 inline constexpr NameId kNameAxmlCatch = 2;     ///< "axml:catch"
 inline constexpr NameId kNameAxmlCatchAll = 3;  ///< "axml:catchAll"
 inline constexpr NameId kNameAxmlRetry = 4;     ///< "axml:retry"
-inline constexpr NameId kNumReservedNames = 5;
+inline constexpr NameId kNameAxmlParam = 5;     ///< "axml:param"
+inline constexpr NameId kNumReservedNames = 6;
+
+/// True for the reserved AXML names above.
+inline constexpr bool IsReservedName(NameId name_id) {
+  return name_id < kNumReservedNames;
+}
 
 enum class NodeType {
   kElement,

@@ -13,6 +13,13 @@
 // call in scope — over random documents (declared, missing and renamed
 // outputs, calls nested in results and in bookkeeping, malformed calls) and
 // random queries: the same calls, Status, stats and resulting document.
+//
+// Catalog: one axml::CallCatalog per document answers selection across
+// queries until the document's call-shape generation moves (DESIGN.md §8).
+// Rounds keep one document and one catalog through seeded edits made by
+// the public mutators and compare every query with uncached selection on a
+// clone; the hosts (service::Repository, storage::DurableStore) must build
+// each document's catalog once across the commit and abort paths.
 
 #include <memory>
 #include <string>
@@ -21,11 +28,17 @@
 
 #include <gtest/gtest.h>
 
+#include "axml/call_catalog.h"
 #include "axml/materializer.h"
 #include "axml/service_call.h"
 #include "common/rng.h"
+#include "compensation/compensation.h"
+#include "ops/executor.h"
+#include "ops/operation.h"
 #include "query/eval.h"
 #include "query/parser.h"
+#include "service/repository.h"
+#include "storage/durable_store.h"
 #include "xml/builder.h"
 #include "xml/document.h"
 #include "xml/edit.h"
@@ -390,50 +403,67 @@ Result<std::vector<NodeId>> OracleMaterializeForQuery(
 
 class CallSelectionDiffTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// What one query did, for the round totals.
+struct SelectionRun {
+  xml::EditLog log;  ///< The catalog side's edits.
+  bool ok = false;
+  size_t materialized = 0;
+  int skipped = 0;
+};
+
+/// Runs `text` on `doc` through `catalog` (null: the materializer's own)
+/// and on a clone of `doc` through the oracle, and expects the same calls,
+/// Status, stats, edits and resulting document.
+SelectionRun ExpectSameSelection(Document* doc, axml::CallCatalog* catalog,
+                                 const std::string& text,
+                                 const std::string& where) {
+  SelectionRun run;
+  auto q = query::ParseQuery(text);
+  EXPECT_TRUE(q.ok()) << text << ": " << q.status();
+  if (!q.ok()) return run;
+  std::unique_ptr<Document> oracle_doc = doc->Clone();
+  const std::string context = where + " " + text + "\n" + doc->Serialize();
+
+  axml::Materializer m(doc, NamedResult, &run.log, catalog);
+  auto got = m.MaterializeForQuery(*q, doc->root());
+  xml::EditLog oracle_log;
+  axml::Materializer oracle(oracle_doc.get(), NamedResult, &oracle_log);
+  int oracle_skipped = 0;
+  auto want = OracleMaterializeForQuery(oracle_doc.get(), &oracle, *q,
+                                        oracle_doc->root(), &oracle_skipped);
+  EXPECT_EQ(got.status().ToString(), want.status().ToString()) << context;
+  run.ok = got.ok();
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(*got, *want) << context;
+    run.materialized = got->size();
+  }
+  const axml::MaterializeStats& a = m.stats();
+  const axml::MaterializeStats& b = oracle.stats();
+  EXPECT_EQ(a.calls_invoked, b.calls_invoked) << context;
+  EXPECT_EQ(a.calls_skipped, oracle_skipped) << context;
+  EXPECT_EQ(a.retries, b.retries) << context;
+  EXPECT_EQ(a.faults_handled, b.faults_handled) << context;
+  EXPECT_EQ(a.nodes_inserted, b.nodes_inserted) << context;
+  EXPECT_EQ(a.nodes_removed, b.nodes_removed) << context;
+  EXPECT_EQ(run.log.size(), oracle_log.size()) << context;
+  EXPECT_EQ(doc->Serialize(), oracle_doc->Serialize()) << context;
+  run.skipped = oracle_skipped;
+  return run;
+}
+
 TEST_P(CallSelectionDiffTest, InPlaceSelectionMatchesParseOracle) {
   Rng rng(GetParam());
   int failed = 0, materialized = 0, skipped = 0;
   for (int round = 0; round < 40; ++round) {
     std::unique_ptr<Document> base = RandomCallDocument(&rng);
     for (int k = 0; k < 4; ++k) {
-      const std::string text = RandomQuery(&rng);
-      auto q = query::ParseQuery(text);
-      ASSERT_TRUE(q.ok()) << text << ": " << q.status();
-      const std::string where =
-          "round " + std::to_string(round) + " " + text + "\n" +
-          base->Serialize();
-
       std::unique_ptr<Document> doc = base->Clone();
-      xml::EditLog log;
-      axml::Materializer m(doc.get(), NamedResult, &log);
-      auto got = m.MaterializeForQuery(*q, doc->root());
-
-      std::unique_ptr<Document> oracle_doc = base->Clone();
-      xml::EditLog oracle_log;
-      axml::Materializer oracle(oracle_doc.get(), NamedResult, &oracle_log);
-      int oracle_skipped = 0;
-      auto want = OracleMaterializeForQuery(oracle_doc.get(), &oracle, *q,
-                                            oracle_doc->root(),
-                                            &oracle_skipped);
-
-      ASSERT_EQ(got.status().ToString(), want.status().ToString()) << where;
-      if (got.ok()) {
-        ASSERT_EQ(*got, *want) << where;
-        materialized += static_cast<int>(got->size());
-      } else {
-        ++failed;
-      }
-      const axml::MaterializeStats& a = m.stats();
-      const axml::MaterializeStats& b = oracle.stats();
-      EXPECT_EQ(a.calls_invoked, b.calls_invoked) << where;
-      EXPECT_EQ(a.calls_skipped, oracle_skipped) << where;
-      EXPECT_EQ(a.retries, b.retries) << where;
-      EXPECT_EQ(a.faults_handled, b.faults_handled) << where;
-      EXPECT_EQ(a.nodes_inserted, b.nodes_inserted) << where;
-      EXPECT_EQ(a.nodes_removed, b.nodes_removed) << where;
-      EXPECT_EQ(log.size(), oracle_log.size()) << where;
-      ASSERT_EQ(doc->Serialize(), oracle_doc->Serialize()) << where;
-      skipped += oracle_skipped;
+      const SelectionRun run = ExpectSameSelection(
+          doc.get(), /*catalog=*/nullptr, RandomQuery(&rng),
+          "round " + std::to_string(round));
+      if (!run.ok) ++failed;
+      materialized += static_cast<int>(run.materialized);
+      skipped += run.skipped;
     }
   }
   // The random inputs exercise every outcome.
@@ -470,6 +500,366 @@ TEST(CallSelectionTest, MalformedCallFailsQueryThatDoesNotNeedIt) {
     EXPECT_EQ(got.status().ToString(), parsed.ToString()) << call;
     EXPECT_EQ(m.stats().calls_invoked, 0) << call;
   }
+}
+
+/// Elements of `doc` named `name`, in document order.
+std::vector<NodeId> Named(const Document& doc, const std::string& name) {
+  std::vector<NodeId> out;
+  for (NodeId id : Elements(doc)) {
+    if (doc.Find(id)->name == name) out.push_back(id);
+  }
+  return out;
+}
+
+// Call-carrying fragments: a bare call, one under a wrapper element, and
+// one with a parameter.
+constexpr const char* kCallFragments[] = {
+    "<axml:sc mode=\"replace\" serviceURL=\"s\" outputName=\"price\"/>",
+    "<grp><axml:sc serviceURL=\"s\" methodName=\"rank\"><slams>r</slams>"
+    "</axml:sc></grp>",
+    "<axml:sc mode=\"merge\" serviceURL=\"s\" methodName=\"key\">"
+    "<axml:params><axml:param name=\"a\"><axml:value>1</axml:value>"
+    "</axml:param></axml:params></axml:sc>"};
+
+TEST_P(CallSelectionDiffTest, CatalogTracksEditsBetweenQueries) {
+  Rng rng(GetParam());
+  int rebuilds = 0, queries = 0, failed = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::unique_ptr<Document> doc = RandomCallDocument(&rng);
+    axml::CallCatalog catalog;
+    xml::EditLog last;
+    std::vector<NodeId> renamed;  // elements now named axml:params
+    for (int step = 0; step < 10; ++step) {
+      const std::string where =
+          "round " + std::to_string(round) + " step " + std::to_string(step);
+      std::vector<NodeId> calls = Named(*doc, "axml:sc");
+      std::vector<NodeId> elems = Elements(*doc);
+      const NodeId any = elems[rng.Uniform(elems.size())];
+      const NodeId call =
+          calls.empty() ? xml::kNullNode : calls[rng.Uniform(calls.size())];
+      switch (rng.Uniform(9)) {
+        case 0: {  // a fragment carrying calls, anywhere
+          auto fragment = xml::Parse(
+              kCallFragments[rng.Uniform(std::size(kCallFragments))]);
+          ASSERT_TRUE(fragment.ok());
+          auto copy = doc->ImportSubtree(**fragment, (*fragment)->root());
+          ASSERT_TRUE(copy.ok());
+          // The catalog looks while the new calls are still detached.
+          (void)catalog.VisibleFrom(doc.get(), doc->root());
+          ASSERT_TRUE(doc->AppendChild(any, *copy).ok());
+          break;
+        }
+        case 1:  // hide what lies below, or show it again
+          if (!renamed.empty() && rng.Bernoulli(0.5)) {
+            ASSERT_TRUE(doc->RenameElement(renamed.back(), "grp").ok());
+            renamed.pop_back();
+          } else if (any != doc->root()) {
+            ASSERT_TRUE(doc->RenameElement(any, "axml:params").ok());
+            renamed.push_back(any);
+          }
+          break;
+        case 2:  // a call turns malformed, or well-formed again
+          if (call != xml::kNullNode) {
+            const std::string* mode = doc->Find(call)->FindAttribute("mode");
+            const bool bogus = mode != nullptr && *mode == "bogus";
+            ASSERT_TRUE(
+                doc->SetAttribute(call, "mode", bogus ? "replace" : "bogus")
+                    .ok());
+          }
+          break;
+        case 3: {  // a parameter loses its name
+          std::vector<NodeId> params = Named(*doc, "axml:param");
+          if (!params.empty()) {
+            ASSERT_TRUE(
+                doc->SetAttributes(params[rng.Uniform(params.size())], {})
+                    .ok());
+          }
+          break;
+        }
+        case 4:  // a handler without faultName
+          if (call != xml::kNullNode) xml::AddElement(doc.get(), call, "axml:catch");
+          break;
+        case 5:  // a call goes away
+          if (call != xml::kNullNode) {
+            ASSERT_TRUE(doc->RemoveSubtree(call).ok());
+          }
+          break;
+        case 6:  // the last materialization is rolled back
+          ASSERT_TRUE(xml::RollbackAll(doc.get(), last).ok()) << where;
+          break;
+        case 7:  // an output name changes
+          if (call != xml::kNullNode) {
+            ASSERT_TRUE(doc->SetAttribute(call, "outputName", PickName(&rng))
+                            .ok());
+          }
+          break;
+        default:  // no edit: the catalog must stay as it is
+          break;
+      }
+      last.Clear();
+      // The catalog's list and verdicts against the oracle, from the root.
+      const int64_t builds = catalog.builds();
+      const axml::CallView view = catalog.VisibleFrom(doc.get(), doc->root());
+      rebuilds += static_cast<int>(catalog.builds() - builds);
+      // The root sees every call the index holds.
+      ASSERT_EQ(view.begin, 0u);
+      const std::vector<NodeId> listed =
+          view.index == nullptr ? std::vector<NodeId>{} : view.index->calls();
+      ASSERT_EQ(view.end, listed.size());
+      ASSERT_EQ(listed, axml::FindServiceCalls(*doc, doc->root())) << where;
+      size_t bad = 0;
+      for (uint32_t pos = 0; pos < listed.size(); ++pos) {
+        const Status status = axml::ValidateServiceCall(*doc, listed[pos]);
+        const auto& malformed = view.index->malformed();
+        const bool listed_bad =
+            bad < malformed.size() && malformed[bad].first == pos;
+        ASSERT_EQ(!status.ok(), listed_bad) << where << " pos " << pos;
+        if (listed_bad) {
+          ASSERT_EQ(malformed[bad].second.ToString(), status.ToString());
+          ++bad;
+        }
+      }
+      SelectionRun run =
+          ExpectSameSelection(doc.get(), &catalog, RandomQuery(&rng), where);
+      last = std::move(run.log);
+      if (!run.ok) ++failed;
+      ++queries;
+    }
+  }
+  // Edits between queries rebuild the catalog; most queries reuse it.
+  EXPECT_GT(rebuilds, 0);
+  EXPECT_LT(rebuilds, queries);
+  EXPECT_GT(failed, 0);
+}
+
+TEST(CallSelectionTest, StrayRetryIsNotAResult) {
+  // An `axml:retry` directly under a call is bookkeeping, not a result:
+  // selection must not match it, and replace mode must not remove it.
+  auto doc = xml::Parse(
+      "<Root><item><axml:sc mode=\"replace\" methodName=\"rank\">"
+      "<axml:retry times=\"1\" wait=\"0\"/><rank>old</rank></axml:sc>"
+      "</item></Root>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const NodeId sc = axml::FindServiceCalls(**doc, (*doc)->root()).at(0);
+  const NodeId retry = (*doc)->Find(sc)->children.at(0);
+  auto info = axml::ParseServiceCall(**doc, sc);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->results, axml::ResultChildren(**doc, sc));
+  EXPECT_EQ(info->results.size(), 1u);
+  EXPECT_FALSE(axml::ProducesAnyOf(**doc, sc, {"axml:retry"}));
+
+  auto q = query::ParseQuery("Select p//axml:retry from p in Root//item");
+  ASSERT_TRUE(q.ok());
+  xml::EditLog log;
+  axml::Materializer m(doc->get(), NamedResult, &log);
+  auto got = m.MaterializeForQuery(*q, (*doc)->root());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->empty());
+  EXPECT_EQ(m.stats().calls_skipped, 1);
+
+  // Materialized for its own name, the call replaces <rank> and keeps the
+  // retry element.
+  q = query::ParseQuery("Select p/rank from p in Root//item");
+  ASSERT_TRUE(q.ok());
+  got = m.MaterializeForQuery(*q, (*doc)->root());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, std::vector<NodeId>{sc});
+  EXPECT_TRUE((*doc)->Contains(retry));
+  EXPECT_EQ((*doc)->Serialize(),
+            "<Root><item><axml:sc mode=\"replace\" methodName=\"rank\">"
+            "<axml:retry times=\"1\" wait=\"0\"/><rank>q</rank></axml:sc>"
+            "</item></Root>");
+}
+
+TEST(CallSelectionTest, ResultThatEmbedsACallIsSeenByTheNextSource) {
+  // Both items are sources of pass 2; the outer one comes first. Its call
+  // `emb` returns a result that embeds a new call. The current source's
+  // list was fixed before, so only the inner source, whose catalog view is
+  // rebuilt once, materializes the new call — as the oracle does.
+  const std::string text =
+      "<Root><item><key>o</key><item><key>i</key>"
+      "<axml:sc mode=\"replace\" methodName=\"emb\" outputName=\"out\"/>"
+      "<axml:sc mode=\"replace\" methodName=\"other\" outputName=\"zzz\"/>"
+      "</item></item></Root>";
+  axml::ServiceInvoker invoker =
+      [](const axml::ServiceRequest& req) -> Result<axml::ServiceResponse> {
+    std::string body = "<out>" + req.method_name + "</out>";
+    if (req.method_name == "emb") {
+      body += "<axml:sc mode=\"replace\" methodName=\"plain\" "
+              "outputName=\"out\"/>";
+    }
+    AXMLX_ASSIGN_OR_RETURN(auto fragment, xml::Parse("<r>" + body + "</r>"));
+    axml::ServiceResponse response;
+    response.fragment = std::move(fragment);
+    return response;
+  };
+  auto q = query::ParseQuery("Select p/out from p in Root//item");
+  ASSERT_TRUE(q.ok());
+
+  auto doc = xml::Parse(text);
+  ASSERT_TRUE(doc.ok());
+  axml::CallCatalog catalog;
+  (void)catalog.VisibleFrom(doc->get(), (*doc)->root());
+  ASSERT_EQ(catalog.builds(), 1);
+  xml::EditLog log;
+  axml::Materializer m(doc->get(), invoker, &log, &catalog);
+  auto got = m.MaterializeForQuery(*q, (*doc)->root());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(catalog.builds(), 2);
+
+  auto oracle_doc = xml::Parse(text);
+  ASSERT_TRUE(oracle_doc.ok());
+  xml::EditLog oracle_log;
+  axml::Materializer oracle(oracle_doc->get(), invoker, &oracle_log);
+  int oracle_skipped = 0;
+  auto want = OracleMaterializeForQuery(oracle_doc->get(), &oracle, *q,
+                                        (*oracle_doc)->root(),
+                                        &oracle_skipped);
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_EQ(*got, *want);
+  ASSERT_EQ(got->size(), 2u);  // `emb`, then the call it returned
+  EXPECT_EQ(*(*doc)->Find(got->at(1))->FindAttribute("methodName"), "plain");
+  EXPECT_EQ(m.stats().calls_skipped, oracle_skipped);
+  EXPECT_EQ(m.stats().calls_skipped, 2);  // `other`, once per source
+  EXPECT_EQ((*doc)->Serialize(), (*oracle_doc)->Serialize());
+}
+
+TEST(CallSelectionTest, ServiceThatWritesTheDocumentIsJudgedLive) {
+  // A service may write to the document whose call it serves (a local
+  // service on the same peer). Here `a` gives the later call `b` a result
+  // named `x` while being invoked: a child-list change on a call, which
+  // leaves the generation alone. The rest of the list is then judged
+  // against the live document, so `b` is materialized as the oracle does.
+  const std::string text =
+      "<Root><item>"
+      "<axml:sc mode=\"merge\" methodName=\"a\" outputName=\"x\"/>"
+      "<axml:sc mode=\"merge\" methodName=\"b\" outputName=\"y\"/>"
+      "</item></Root>";
+  auto invoker_for = [](Document* doc) -> axml::ServiceInvoker {
+    return [doc](const axml::ServiceRequest& req)
+               -> Result<axml::ServiceResponse> {
+      if (req.method_name == "a") {
+        const NodeId b = axml::FindServiceCalls(*doc, doc->root()).at(1);
+        xml::AddTextElement(doc, b, "x", "side");
+      }
+      return NamedResult(req);
+    };
+  };
+  auto q = query::ParseQuery("Select p/x from p in Root//item");
+  ASSERT_TRUE(q.ok());
+
+  auto doc = xml::Parse(text);
+  ASSERT_TRUE(doc.ok());
+  axml::CallCatalog catalog;
+  xml::EditLog log;
+  axml::Materializer m(doc->get(), invoker_for(doc->get()), &log, &catalog);
+  auto got = m.MaterializeForQuery(*q, (*doc)->root());
+  ASSERT_TRUE(got.ok()) << got.status();
+
+  auto oracle_doc = xml::Parse(text);
+  ASSERT_TRUE(oracle_doc.ok());
+  xml::EditLog oracle_log;
+  axml::Materializer oracle(oracle_doc->get(), invoker_for(oracle_doc->get()),
+                            &oracle_log);
+  int oracle_skipped = 0;
+  auto want = OracleMaterializeForQuery(oracle_doc->get(), &oracle, *q,
+                                        (*oracle_doc)->root(),
+                                        &oracle_skipped);
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_EQ(*got, *want);
+  EXPECT_EQ(got->size(), 2u);
+  EXPECT_EQ(m.stats().calls_skipped, oracle_skipped);
+  EXPECT_EQ((*doc)->Serialize(), (*oracle_doc)->Serialize());
+}
+
+// --- One catalog per hosted document ---------------------------------------
+
+/// A document shaped like the end-to-end benchmark's commit-large one: 40
+/// replace-mode calls, each holding its previous result, and a <log>.
+std::string CommitLargeDocument() {
+  std::string doc = "<D><calls>";
+  for (int c = 0; c < 40; ++c) {
+    const std::string key = (c < 10 ? "00" : "0") + std::to_string(c);
+    doc += "<axml:sc mode=\"replace\" serviceURL=\"P\" methodName=\"Quote\" "
+           "outputName=\"q" + key + "\"><axml:params><axml:param name=\"k\">"
+           "<axml:value>" + key + "</axml:value></axml:param></axml:params>"
+           "<q" + key + ">old</q" + key + "></axml:sc>";
+  }
+  doc += "</calls><log>";
+  for (int i = 0; i < 20; ++i) doc += "<entry n=\"" + std::to_string(i) + "\">w</entry>";
+  return doc + "</log></D>";
+}
+
+Result<axml::ServiceResponse> Quote(const axml::ServiceRequest& req) {
+  std::string key;
+  for (const auto& [name, value] : req.params) {
+    if (name == "k") key = value;
+  }
+  AXMLX_ASSIGN_OR_RETURN(
+      auto fragment, xml::Parse("<r><q" + key + ">new</q" + key + "></r>"));
+  axml::ServiceResponse response;
+  response.fragment = std::move(fragment);
+  return response;
+}
+
+/// The benchmark's per-key service: one lazy query, two inserts.
+std::vector<ops::Operation> KeyServiceOps() {
+  return {ops::MakeQuery("Select d//q007 from d in D"),
+          ops::MakeInsert("Select l from l in D/log", "<entry s=\"a\"/>"),
+          ops::MakeInsert("Select l from l in D/log", "<entry s=\"b\"/>")};
+}
+
+TEST(CallCatalogHostTest, ServiceHostBuildsOneCatalogAcrossCommitAndAbort) {
+  service::Repository repo;
+  auto doc = xml::Parse(CommitLargeDocument());
+  ASSERT_TRUE(doc.ok());
+  const std::string before = (*doc)->Serialize();
+  ASSERT_TRUE(repo.AddDocument(std::move(doc).value()).ok());
+  service::ServiceDefinition def;
+  def.name = "S007";
+  def.document = "D";
+  def.ops = KeyServiceOps();
+  ASSERT_TRUE(repo.AddService(std::move(def)).ok());
+  service::ServiceHost host(&repo, Quote, /*rng=*/nullptr);
+
+  auto first = host.Invoke("S007", {});
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->effects.effects().front().materialize_stats.calls_invoked,
+            1);
+  EXPECT_EQ(first->effects.effects().front().materialize_stats.calls_skipped,
+            39);
+  // Abort: the compensating service runs on the same document.
+  ops::Executor executor(repo.GetDocument("D"), Quote);
+  executor.SetCallCatalog(repo.Catalog("D"));
+  ASSERT_TRUE(comp::ApplyPlan(&executor, first->compensation).ok());
+  EXPECT_EQ(repo.GetDocument("D")->Serialize(), before);
+  auto second = host.Invoke("S007", {});
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(repo.Catalog("D")->builds(), 1);
+}
+
+TEST(CallCatalogHostTest, DurableStoreBuildsOneCatalogAcrossCommitAndAbort) {
+  const std::string dir = ::testing::TempDir() + "axmlx_catalog_store";
+  std::remove((dir + "/wal.log").c_str());
+  std::remove((dir + "/manifest.txt").c_str());
+  std::remove((dir + "/snap_D.xml").c_str());
+  storage::DurableStore store(dir, Quote);
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(store.CreateDocument(CommitLargeDocument()).ok());
+  const std::string before = store.Get("D")->Serialize();
+  ASSERT_TRUE(store.Begin("T1").ok());
+  for (const ops::Operation& op : KeyServiceOps()) {
+    auto effect = store.Execute("T1", "D", op);
+    ASSERT_TRUE(effect.ok()) << effect.status();
+  }
+  ASSERT_TRUE(store.Abort("T1").ok());
+  EXPECT_EQ(store.Get("D")->Serialize(), before);
+  ASSERT_TRUE(store.Begin("T2").ok());
+  for (const ops::Operation& op : KeyServiceOps()) {
+    ASSERT_TRUE(store.Execute("T2", "D", op).ok());
+  }
+  ASSERT_TRUE(store.Commit("T2").ok());
+  EXPECT_EQ(store.Catalog("D")->builds(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CallSelectionDiffTest,

@@ -17,8 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include "axml/call_catalog.h"
+#include "axml/materializer.h"
+#include "axml/service_call.h"
 #include "common/rng.h"
 #include "obs/metric_names.h"
+#include "query/parser.h"
 #include "repo/axml_repository.h"
 #include "repo/fault_drill.h"
 #include "repo/scenarios.h"
@@ -27,6 +31,7 @@
 #include "xml/builder.h"
 #include "xml/document.h"
 #include "xml/edit.h"
+#include "xml/parser.h"
 
 namespace axmlx {
 namespace {
@@ -176,6 +181,66 @@ TEST(ReplicaSyncTest, ReplacedReplicaOrPrimaryFallsBack) {
   EXPECT_FALSE(restarted->SyncReplica(replica.get()));
   EXPECT_FALSE(primary.SyncReplica(&primary));
   EXPECT_FALSE(primary.SyncReplica(nullptr));
+}
+
+TEST(ReplicaSyncTest, ReplicaCallCatalogFollowsPushes) {
+  // SyncReplica writes node records directly, so it moves the replica's
+  // call-shape generation itself: a query on the replica after a push that
+  // renames a call's output selects what a fresh catalog would.
+  Document primary("Doc");
+  NodeId item = xml::AddElement(&primary, primary.root(), "item");
+  std::vector<NodeId> calls;
+  for (const char* out : {"price", "rank"}) {
+    axml::ScSpec spec;
+    spec.method_name = "m";
+    spec.output_name = out;
+    auto sc = axml::BuildServiceCall(&primary, item, spec);
+    ASSERT_TRUE(sc.ok());
+    calls.push_back(*sc);
+  }
+  std::unique_ptr<Document> replica = primary.CloneForReplica();
+  axml::ServiceInvoker invoker =
+      [](const axml::ServiceRequest&) -> Result<axml::ServiceResponse> {
+    AXMLX_ASSIGN_OR_RETURN(auto fragment, xml::Parse("<r><v>1</v></r>"));
+    axml::ServiceResponse response;
+    response.fragment = std::move(fragment);
+    return response;
+  };
+  auto select = [&invoker](Document* doc, axml::CallCatalog* catalog,
+                           const std::string& name) {
+    auto q = query::ParseQuery("Select p/" + name + " from p in Doc//item");
+    EXPECT_TRUE(q.ok());
+    xml::EditLog log;
+    axml::Materializer m(doc, invoker, &log, catalog);
+    auto got = m.MaterializeForQuery(*q, doc->root());
+    EXPECT_TRUE(got.ok()) << got.status();
+    return got.ok() ? *got : std::vector<NodeId>{};
+  };
+  // Queries that select nothing leave the replica as the primary made it,
+  // so the pushes below stay deltas.
+  axml::CallCatalog catalog;
+  EXPECT_EQ(select(replica.get(), &catalog, "points"), std::vector<NodeId>{});
+  ASSERT_EQ(catalog.builds(), 1);
+
+  // A materialization on the primary changes only a call's children: the
+  // replica keeps its catalog.
+  {
+    xml::EditLog log;
+    axml::Materializer m(&primary, invoker, &log);
+    ASSERT_TRUE(m.MaterializeCall(calls[1]).ok());
+  }
+  ASSERT_TRUE(primary.SyncReplica(replica.get()));
+  EXPECT_EQ(select(replica.get(), &catalog, "points"), std::vector<NodeId>{});
+  EXPECT_EQ(catalog.builds(), 1);
+
+  ASSERT_TRUE(primary.SetAttribute(calls[0], "outputName", "points").ok());
+  ASSERT_TRUE(primary.SyncReplica(replica.get()));
+  ExpectSameDocument(primary, *replica, "after outputName push");
+  std::unique_ptr<Document> fresh = replica->Clone();
+  const std::vector<NodeId> want = select(fresh.get(), nullptr, "points");
+  EXPECT_EQ(want, std::vector<NodeId>{calls[0]});
+  EXPECT_EQ(select(replica.get(), &catalog, "points"), want);
+  EXPECT_EQ(catalog.builds(), 2);
 }
 
 TEST(ReplicaSyncTest, DeltaCarriesVersioningState) {

@@ -2,10 +2,10 @@
 # CI gate for axmlx: warnings-as-errors build, full test suite, project
 # linter (plus a machine-readable `axmlx_lint --json` artifact), a perf
 # smoke stage (which includes the bench_obs_overhead flight-recorder budget
-# gate), an end-to-end forensics render, the fault-injection, call-catalog
-# and MVCC suites under ASan/UBSan, and finally the fault+mvcc suites under TSan
-# (-DAXMLX_SANITIZE=thread). Exits non-zero on the first failure. See
-# DESIGN.md §6b.
+# gate), an end-to-end forensics render, the fault-injection, call-catalog,
+# payload and MVCC suites under ASan/UBSan, and finally the fault+mvcc
+# suites under TSan (-DAXMLX_SANITIZE=thread). Exits non-zero on the first
+# failure. See DESIGN.md §6b.
 #
 # The perf smoke stage runs the hot-path benches with --smoke and diffs
 # their reports against the committed smoke baselines in
@@ -119,6 +119,14 @@ step "sanitizer call catalog (ctest -L catalog)"
 # read a recycled slab slot, which ASan reports here.
 cmake --build "$SAN_DIR" -j "$JOBS" --target discovery_diff_test
 ctest --test-dir "$SAN_DIR" -L catalog --output-on-failure -j "$JOBS"
+
+step "sanitizer payload path (ctest -L payload)"
+# Operation payloads are parsed straight into live, watched, replicated
+# documents (DESIGN.md §8): a rejected payload that left a node behind, or an
+# id handed out twice, would read a recycled slab slot, which ASan reports
+# here.
+cmake --build "$SAN_DIR" -j "$JOBS" --target payload_diff_test
+ctest --test-dir "$SAN_DIR" -L payload --output-on-failure -j "$JOBS"
 
 step "sanitizer isolation matrix (ctest -L mvcc)"
 # The MVCC interleaving matrix under ASan: version-chain bookkeeping,

@@ -1,6 +1,7 @@
 #include "axml/materializer.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "query/eval.h"
@@ -207,11 +208,20 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
   std::unordered_set<std::string> select_set(select_names.begin(),
                                              select_names.end());
 
+  std::optional<query::EvalContext> own_ctx;
+  query::EvalContext* ctx = ctx_ != nullptr && !ctx_->view.active
+                                ? ctx_
+                                : &own_ctx.emplace();
+  // The context's memos describe the document as of the last invalidation;
+  // materializations below move it on, so every evaluation after one starts
+  // from fresh memos.
+  uint64_t memo_at = doc_->mutation_count();
+  ctx->InvalidateCaches();
   std::vector<xml::NodeId> materialized;
   std::unordered_set<xml::NodeId> done;
   // Pass 1: predicate inputs under all candidate source nodes.
-  std::vector<xml::NodeId> sources =
-      query::EvaluatePathFrom(*doc_, scope, q.source);
+  std::vector<xml::NodeId> sources;
+  query::EvaluatePathFrom(*doc_, scope, q.source, ctx, &sources);
   if (!where_set.empty()) {
     for (xml::NodeId src : sources) {
       AXMLX_RETURN_IF_ERROR(MaterializeNeeded(
@@ -220,8 +230,12 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
   }
   // Pass 2: select inputs under surviving bindings only.
   for (xml::NodeId src : sources) {
-    if (q.where != nullptr && !query::EvaluatePredicate(*doc_, src, *q.where)) {
-      continue;
+    if (q.where != nullptr) {
+      if (doc_->mutation_count() != memo_at) {
+        memo_at = doc_->mutation_count();
+        ctx->InvalidateCaches();
+      }
+      if (!query::EvaluatePredicate(*doc_, src, *q.where, ctx)) continue;
     }
     AXMLX_RETURN_IF_ERROR(MaterializeNeeded(
         src, select_set, /*count_skipped=*/true, &done, &materialized));

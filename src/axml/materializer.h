@@ -15,6 +15,10 @@
 #include "xml/document.h"
 #include "xml/edit.h"
 
+namespace axmlx::query {
+struct EvalContext;
+}  // namespace axmlx::query
+
 namespace axmlx::axml {
 
 /// A fully resolved service invocation request, handed to the invoker
@@ -65,15 +69,22 @@ struct MaterializeStats {
 /// dynamically)" (§3.1).
 class Materializer {
  public:
-  /// Does not take ownership; `doc`, `log` and `catalog` must outlive the
-  /// materializer. `catalog` is the document's call catalog; without one
-  /// the materializer keeps its own for its lifetime.
+  /// Does not take ownership; `doc`, `log`, `catalog` and `ctx` must
+  /// outlive the materializer. `catalog` is the document's call catalog;
+  /// without one the materializer keeps its own for its lifetime. `ctx` is
+  /// the evaluation context of the executor driving the materialization
+  /// (DESIGN.md §8); lazy evaluation finds its sources through it. Without
+  /// one — or when it reads through a snapshot view: the materializer
+  /// writes the live document, so it must read it too — each lazy
+  /// evaluation uses a context of its own.
   Materializer(xml::Document* doc, ServiceInvoker invoker, xml::EditLog* log,
-               CallCatalog* catalog = nullptr)
+               CallCatalog* catalog = nullptr,
+               query::EvalContext* ctx = nullptr)
       : doc_(doc),
         invoker_(std::move(invoker)),
         log_(log),
-        catalog_(catalog != nullptr ? catalog : &own_catalog_) {}
+        catalog_(catalog != nullptr ? catalog : &own_catalog_),
+        ctx_(ctx) {}
 
   Materializer(const Materializer&) = delete;
   Materializer& operator=(const Materializer&) = delete;
@@ -130,6 +141,7 @@ class Materializer {
   xml::EditLog* log_;
   CallCatalog own_catalog_;
   CallCatalog* catalog_;
+  query::EvalContext* ctx_;
   /// Services that changed doc_ while being invoked.
   int64_t foreign_changes_ = 0;
   std::map<std::string, std::string> externals_;

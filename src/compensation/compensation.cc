@@ -1,6 +1,5 @@
 #include "compensation/compensation.h"
 
-#include <cassert>
 #include <memory>
 
 #include "common/strings.h"
@@ -8,15 +7,7 @@
 namespace axmlx::comp {
 
 std::string SerializeDetached(const xml::DetachedSubtree& subtree) {
-  // Restore into a scratch document to reuse the serializer. The scratch
-  // root has id 1; detached subtrees never contain a document root, so their
-  // ids are all >= 2 and cannot collide.
-  xml::Document scratch("scratch");
-  Status s = scratch.RestoreSubtree(subtree.nodes, subtree.root,
-                                    scratch.root(), 0);
-  assert(s.ok());
-  (void)s;
-  return scratch.Serialize(subtree.root);
+  return xml::Document::SerializeRecords(subtree.nodes, subtree.root);
 }
 
 namespace {

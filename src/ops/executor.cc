@@ -8,6 +8,18 @@
 
 namespace axmlx::ops {
 
+namespace {
+
+/// The text ParseInto reads for `op`'s payload.
+std::string WrapPayload(const Operation& op) {
+  std::string wrapped;
+  wrapped.reserve(op.data_xml.size() + 13);
+  wrapped.append("<data>").append(op.data_xml).append("</data>");
+  return wrapped;
+}
+
+}  // namespace
+
 Executor::Executor(xml::Document* doc, axml::ServiceInvoker invoker)
     : doc_(doc), invoker_(std::move(invoker)) {
   if (!invoker_) {
@@ -50,7 +62,8 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
   const query::Query& q = *location;
   // "The <location> query evaluation may involve service call
   // materializations, and as such, updates to the AXML document." (§3.1)
-  axml::Materializer materializer(doc_, invoker_, &effect->edits, catalog_);
+  axml::Materializer materializer(doc_, invoker_, &effect->edits, catalog_,
+                                  eval_ctx_);
   for (const auto& [name, value] : externals_) {
     materializer.SetExternal(name, value);
   }
@@ -69,28 +82,30 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
   return result.AllSelected();
 }
 
-Status Executor::InsertData(const xml::Document& fragment, xml::NodeId parent,
+Status Executor::InsertData(std::string_view payload, xml::NodeId parent,
                             bool has_index, size_t index, OpEffect* effect) {
-  const xml::Node* frag_root = fragment.Find(fragment.root());
-  size_t offset = 0;
-  for (xml::NodeId child : frag_root->children) {
-    AXMLX_ASSIGN_OR_RETURN(xml::NodeId copy,
-                           doc_->ImportSubtree(fragment, child));
-    if (has_index) {
-      AXMLX_RETURN_IF_ERROR(doc_->InsertAt(parent, index + offset, copy));
-      ++offset;
-    } else {
-      AXMLX_RETURN_IF_ERROR(doc_->AppendChild(parent, copy));
+  AXMLX_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
+                         xml::ParseInto(doc_, payload));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const xml::NodeId node = nodes[i];
+    Status linked = has_index ? doc_->InsertAt(parent, index + i, node)
+                              : doc_->AppendChild(parent, node);
+    if (!linked.ok()) {
+      // The caller rolls back what was inserted; the rest never attached.
+      for (size_t j = i; j < nodes.size(); ++j) {
+        AXMLX_RETURN_IF_ERROR(doc_->RemoveSubtree(nodes[j]).status());
+      }
+      return linked;
     }
     xml::Edit edit;
     edit.kind = xml::Edit::Kind::kInsertSubtree;
-    edit.node = copy;
+    edit.node = node;
     edit.parent = parent;
-    edit.index = has_index ? doc_->IndexInParent(copy)
+    edit.index = has_index ? doc_->IndexInParent(node)
                            : doc_->Find(parent)->children.size() - 1;
-    edit.nodes_affected = doc_->SubtreeSize(copy);
+    edit.nodes_affected = doc_->SubtreeSize(node);
     effect->edits.Append(std::move(edit));
-    effect->inserted.push_back(copy);
+    effect->inserted.push_back(node);
   }
   return Status::Ok();
 }
@@ -117,10 +132,11 @@ PreparedOp Executor::Prepare(const xml::Document& doc, const Operation& op,
       ctx != nullptr ? query::EvaluateQuery(doc, q_or.value(), ctx)
                      : query::EvaluateQuery(doc, q_or.value());
   if (!result_or.ok()) return prep;
-  if (op.type == ActionType::kInsert || op.type == ActionType::kReplace) {
-    auto fragment_or = xml::Parse("<data>" + op.data_xml + "</data>");
-    if (!fragment_or.ok()) return prep;
-    prep.fragment = std::move(fragment_or).value();
+  // The payload is only checked here: ExecutePrepared parses it into the
+  // document once per target, as Execute does.
+  if ((op.type == ActionType::kInsert || op.type == ActionType::kReplace) &&
+      !xml::ParseInto(nullptr, WrapPayload(op)).ok()) {
+    return prep;
   }
   if (op.type == ActionType::kQuery) {
     prep.query_result = std::move(result_or).value();
@@ -225,14 +241,9 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op,
         // Ids already live again (e.g. the plan ran twice): fall back to
         // fresh-id insertion of the serialized payload below.
       }
-      std::unique_ptr<xml::Document> fragment;
-      if (use_prep && prep->fragment != nullptr) {
-        fragment = std::move(prep->fragment);
-      } else {
-        auto fragment_or = xml::Parse("<data>" + op.data_xml + "</data>");
-        if (!fragment_or.ok()) return fail(fragment_or.status());
-        fragment = std::move(fragment_or).value();
-      }
+      const std::string payload = WrapPayload(op);
+      Status checked = xml::ParseInto(nullptr, payload).status();
+      if (!checked.ok()) return fail(checked);
       if (op.anchor != Operation::Anchor::kInto) {
         // Ordered-document insertion (§3.1): the located nodes are anchor
         // siblings; insert adjacent to each under its physical parent.
@@ -245,7 +256,7 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op,
           }
           size_t index = doc_->IndexInParent(sibling);
           if (op.anchor == Operation::Anchor::kAfter) ++index;
-          Status s = InsertData(*fragment, anchor_node->parent,
+          Status s = InsertData(payload, anchor_node->parent,
                                 /*has_index=*/true, index, &effect);
           if (!s.ok()) return fail(s);
         }
@@ -253,8 +264,8 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op,
       }
       for (xml::NodeId parent : effect.targets) {
         if (!doc_->Contains(parent)) continue;
-        Status s = InsertData(*fragment, parent, op.has_position,
-                              op.position, &effect);
+        Status s = InsertData(payload, parent, op.has_position, op.position,
+                              &effect);
         if (!s.ok()) return fail(s);
       }
       return effect;
@@ -265,14 +276,9 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op,
       // of a delete and update operation, i.e., delete the node to be
       // replaced followed by insertion of a node (having the updated value)
       // at the same position." (§3.1)
-      std::unique_ptr<xml::Document> fragment;
-      if (use_prep && prep->fragment != nullptr) {
-        fragment = std::move(prep->fragment);
-      } else {
-        auto fragment_or = xml::Parse("<data>" + op.data_xml + "</data>");
-        if (!fragment_or.ok()) return fail(fragment_or.status());
-        fragment = std::move(fragment_or).value();
-      }
+      const std::string payload = WrapPayload(op);
+      Status checked = xml::ParseInto(nullptr, payload).status();
+      if (!checked.ok()) return fail(checked);
       for (xml::NodeId target : effect.targets) {
         if (!doc_->Contains(target)) continue;
         auto detached_or = xml::DetachSubtree(doc_, target);
@@ -288,7 +294,7 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op,
         edit.nodes_affected = detached.subtree.size();
         edit.removed = std::move(detached.subtree);
         effect.edits.Append(std::move(edit));
-        Status s = InsertData(*fragment, parent, /*has_index=*/true, index,
+        Status s = InsertData(payload, parent, /*has_index=*/true, index,
                               &effect);
         if (!s.ok()) return fail(s);
       }

@@ -1,8 +1,8 @@
 #ifndef AXMLX_OPS_EXECUTOR_H_
 #define AXMLX_OPS_EXECUTOR_H_
 
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "axml/materializer.h"
@@ -49,7 +49,7 @@ struct OpEffect {
 };
 
 /// The precomputed read-only half of one operation's execution: resolved
-/// <location> targets and the parsed data fragment. Built by
+/// <location> targets, with the `<data>` payload checked. Built by
 /// Executor::Prepare (pure — never touches the document) and consumed by
 /// Executor::ExecutePrepared, which runs only the mutation half. This is
 /// the split the worker-pool runtime parallelizes across (DESIGN.md §11):
@@ -60,12 +60,12 @@ struct OpEffect {
 /// service calls that may materialize, eager ops, compensating restores,
 /// direct target ids, or a prepare-time parse/eval failure) —
 /// ExecutePrepared then falls back to the full synchronous Execute path,
-/// preserving its exact semantics.
+/// preserving its exact semantics. The payload itself is parsed at execute
+/// time, straight into the document (xml::ParseInto), on both paths.
 struct PreparedOp {
   bool prepared = false;
   std::vector<xml::NodeId> targets;
-  std::unique_ptr<xml::Document> fragment;  ///< Parsed `<data>` wrapper.
-  query::QueryResult query_result;          ///< kQuery only.
+  query::QueryResult query_result;  ///< kQuery only.
 };
 
 /// Executes operations against one document, logging effects.
@@ -83,9 +83,12 @@ class Executor {
   /// Supplies a value for `$name` external service-call parameters.
   void SetExternal(const std::string& name, const std::string& value);
 
-  /// Evaluates location queries through `ctx` (caller-owned scratch +
-  /// stats; must outlive the executor). Lets long-lived callers like
-  /// DurableStore reuse evaluation buffers across operations.
+  /// Evaluates location queries, and the materializer's lazy-evaluation
+  /// sources, through `ctx` (caller-owned scratch, parsed-query cache and
+  /// stats; must outlive the executor). Long-lived hosts — ServiceHost,
+  /// DurableStore — own one context each and hand it to every executor
+  /// they run, so buffers and parsed locations carry across operations.
+  /// A context must not be used re-entrantly (DESIGN.md §8).
   void SetEvalContext(query::EvalContext* ctx) { eval_ctx_ = ctx; }
 
   /// Selects the calls lazy evaluation materializes through `catalog`, the
@@ -105,7 +108,7 @@ class Executor {
   /// Resolves `op`'s read-only half against `doc` without mutating it:
   /// parses the <location> query, evaluates it through `ctx` (whose view
   /// selects the snapshot; may be null for live standalone evaluation), and
-  /// parses the data fragment. Returns `prepared == false` whenever the
+  /// checks the data payload. Returns `prepared == false` whenever the
   /// operation needs the full synchronous path (see PreparedOp). Safe to
   /// run concurrently from several threads against one document when the
   /// document is in concurrent-read mode and each caller owns its `ctx`.
@@ -117,7 +120,7 @@ class Executor {
   static PreparedOp Prepare(const xml::Document& doc, const Operation& op,
                             query::EvalContext* ctx);
 
-  /// Executes `op` using `prep`'s precomputed targets/fragment, skipping
+  /// Executes `op` using `prep`'s precomputed targets, skipping
   /// location resolution. Falls back to Execute(op) semantics when `prep`
   /// is unprepared. Error handling matches Execute: the document is left
   /// untouched on failure.
@@ -130,7 +133,7 @@ class Executor {
   Result<query::QueryResult> Evaluate(const query::Query& q);
 
   /// Execute() minus the flight-recorder stamp. `prep` (nullable) supplies
-  /// precomputed targets/fragment from Prepare.
+  /// precomputed targets from Prepare.
   Result<OpEffect> ExecuteInternal(const Operation& op, PreparedOp* prep);
 
   /// Parses `op.location` and evaluates it, materializing needed service
@@ -138,9 +141,10 @@ class Executor {
   Result<std::vector<xml::NodeId>> ResolveLocation(const Operation& op,
                                                    OpEffect* effect);
 
-  /// Inserts the parsed `data_xml` fragment under `parent` (at `index` or
-  /// appended), recording edits into `effect`.
-  Status InsertData(const xml::Document& fragment, xml::NodeId parent,
+  /// Parses `payload` (`<data>…</data>`, already checked) straight into the
+  /// document and inserts its top-level nodes under `parent` (from `index`
+  /// on, or appended), recording edits into `effect`.
+  Status InsertData(std::string_view payload, xml::NodeId parent,
                     bool has_index, size_t index, OpEffect* effect);
 
   xml::Document* doc_;

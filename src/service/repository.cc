@@ -116,6 +116,7 @@ Result<InvocationOutcome> ServiceHost::Invoke(
                     service->document + "'");
   }
   ops::Executor executor(doc, downstream_);
+  executor.SetEvalContext(&eval_ctx_);
   executor.SetCallCatalog(repo_->Catalog(service->document));
   // The locking baseline (when enabled) runs the forward operations under
   // path locks; compensation runs through the plain executor, covered by

@@ -17,6 +17,7 @@
 #include "ops/executor.h"
 #include "ops/op_log.h"
 #include "overlay/network.h"
+#include "query/eval.h"
 #include "xml/document.h"
 
 namespace axmlx::service {
@@ -141,6 +142,13 @@ std::string SubstituteParams(
 
 /// Executes services against a repository's documents and constructs their
 /// compensating-service definitions.
+///
+/// The host owns one query::EvalContext and hands it to every executor it
+/// runs (DESIGN.md §8), so location queries are parsed once per host and
+/// evaluation buffers stay warm across operations. A context is never used
+/// re-entrantly: an embedded call that a service's operations materialize
+/// runs on a host of its own (AxmlPeer's local invoker builds a temporary
+/// one), never on the host whose executor is still evaluating.
 class ServiceHost {
  public:
   /// `repo` must outlive the host. `downstream` resolves embedded
@@ -167,11 +175,16 @@ class ServiceHost {
       const std::vector<std::pair<std::string, std::string>>& params,
       int64_t lock_id = 0);
 
+  /// The host's evaluation context, for other executors that work on its
+  /// repository's documents outside Invoke (the peer's compensation runs).
+  query::EvalContext* eval_context() { return &eval_ctx_; }
+
  private:
   Repository* repo_;
   axml::ServiceInvoker downstream_;
   Rng* rng_;
   baseline::PathLockManager* locks_ = nullptr;
+  query::EvalContext eval_ctx_;
 };
 
 }  // namespace axmlx::service

@@ -56,6 +56,13 @@ using Params = std::vector<std::pair<std::string, std::string>>;
 /// Encodes invocation parameters as the body of an INVOKE message
 /// ("<params><param name="k">v</param>...</params>").
 std::string EncodeParams(const Params& params);
+
+/// Reverses EncodeParams by scanning the body directly. Each value is its
+/// element's text exactly, entities unescaped and whitespace kept, so a
+/// remote service substitutes the same `${k}` a local invocation would.
+/// Whitespace between tags is allowed; anything else besides `<param>`
+/// elements holding only text is malformed (kParseError). An empty body
+/// decodes to no parameters.
 Result<Params> DecodeParams(const std::string& body);
 
 /// One participant's compensating-service definition (§3.2, peer

@@ -761,6 +761,7 @@ void AxmlPeer::HandleCompensate(const overlay::Message& message,
   bool ok = false;
   {
     ops::Executor executor(doc, MakeLocalInvoker());
+    executor.SetEvalContext(host_->eval_context());
     executor.SetCallCatalog(repo_.Catalog(payload->document));
     size_t nodes = 0;
     Status s = comp::ApplyPlan(&executor, payload->plan, &nodes);
@@ -949,6 +950,7 @@ void AxmlPeer::CompensateLocal(Ctx* ctx, overlay::Network* net) {
   xml::Document* doc = repo_.GetDocument(def->document);
   if (doc == nullptr) return;
   ops::Executor executor(doc, MakeLocalInvoker());
+  executor.SetEvalContext(host_->eval_context());
   executor.SetCallCatalog(repo_.Catalog(def->document));
   size_t nodes = 0;
   Status s = comp::ApplyPlan(&executor, ctx->local.compensation, &nodes);

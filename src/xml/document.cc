@@ -28,7 +28,7 @@ Document::Document(RawTag)
     : identity_(next_identity.fetch_add(1, std::memory_order_relaxed)) {}
 
 Document::Document(const std::string& root_name) : Document(RawTag{}) {
-  // Most documents are small fragments (operation data, service results):
+  // Most documents are small fragments (service results, query results):
   // size the tables for the reserved names plus a few of their own up
   // front instead of regrowing them one element at a time.
   constexpr size_t kInitialNames = 16;
@@ -836,9 +836,15 @@ std::string Document::PathOf(NodeId id) const {
   return os.str();
 }
 
-void Document::SerializeNode(NodeId id, bool pretty, int depth,
-                             std::string* out) const {
-  const Node* n = Find(id);
+namespace {
+
+/// Writes the subtree at `id`, resolving ids through `find` (nullptr: the
+/// node is left out). Document::Serialize and Document::SerializeRecords
+/// both write through this, so a node reads byte for byte alike either way.
+template <typename FindFn>
+void SerializeSubtree(const FindFn& find, NodeId id, bool pretty, int depth,
+                      std::string* out) {
+  const Node* n = find(id);
   if (n == nullptr) return;
   std::string indent = pretty ? std::string(static_cast<size_t>(depth) * 2, ' ')
                               : std::string();
@@ -875,7 +881,9 @@ void Document::SerializeNode(NodeId id, bool pretty, int depth,
   }
   out->push_back('>');
   if (pretty) *out += "\n";
-  for (NodeId c : n->children) SerializeNode(c, pretty, depth + 1, out);
+  for (NodeId c : n->children) {
+    SerializeSubtree(find, c, pretty, depth + 1, out);
+  }
   if (pretty) *out += indent;
   out->append("</");
   out->append(n->name);
@@ -883,10 +891,30 @@ void Document::SerializeNode(NodeId id, bool pretty, int depth,
   if (pretty) *out += "\n";
 }
 
+}  // namespace
+
 std::string Document::Serialize(NodeId id, bool pretty) const {
   if (id == kNullNode) id = root_;
   std::string out;
-  SerializeNode(id, pretty, 0, &out);
+  SerializeSubtree([this](NodeId n) { return Find(n); }, id, pretty, 0, &out);
+  return out;
+}
+
+std::string Document::SerializeRecords(const std::vector<Node>& records,
+                                       NodeId root) {
+  std::vector<const Node*> by_id;
+  by_id.reserve(records.size());
+  for (const Node& n : records) by_id.push_back(&n);
+  std::stable_sort(by_id.begin(), by_id.end(),
+                   [](const Node* a, const Node* b) { return a->id < b->id; });
+  auto find = [&by_id](NodeId id) -> const Node* {
+    auto it = std::lower_bound(
+        by_id.begin(), by_id.end(), id,
+        [](const Node* n, NodeId key) { return n->id < key; });
+    return it != by_id.end() && (*it)->id == id ? *it : nullptr;
+  };
+  std::string out;
+  SerializeSubtree(find, root, /*pretty=*/false, 0, &out);
   return out;
 }
 

@@ -36,10 +36,10 @@ struct ReadView {
 /// all operations (query / insert / delete / replace, plus service-call
 /// materializations) are edits against a `Document`.
 ///
-/// A `Document` is also used to represent free-standing *fragments*: the
-/// `<data>` payload of an insert operation, a deleted subtree captured in
-/// the compensation log, or a service invocation result. A fragment is
-/// simply a document whose root carries the fragment's top-level nodes.
+/// A `Document` is also used to represent free-standing *fragments*, such
+/// as a service invocation result: a fragment is simply a document whose
+/// root carries the fragment's top-level nodes. Operation payloads are not
+/// fragments: xml::ParseInto builds them straight into their target.
 ///
 /// Storage layout (DESIGN.md §8): nodes live in slab pages — arrays of
 /// `Node` that start small (8 slots) and double up to 512 — with a free
@@ -59,6 +59,9 @@ struct ReadView {
 class Document {
  public:
   /// Creates an empty document with a root element named `root_name`.
+  /// Operation data (`<data>` payloads) no longer builds fragment documents
+  /// — xml::ParseInto creates it in the target — so the small documents
+  /// built here are service results and query-result copies.
   explicit Document(const std::string& root_name = "root");
 
   Document(const Document&) = delete;
@@ -345,6 +348,14 @@ class Document {
   /// `pretty` adds two-space indentation and newlines.
   std::string Serialize(NodeId id = kNullNode, bool pretty = false) const;
 
+  /// Serializes the subtree rooted at `root` from free-standing node
+  /// records (a detached subtree, xml/edit.h: each record's `children`
+  /// name other records by id), byte for byte as Serialize would once the
+  /// records were restored into a document. A child id with no record is
+  /// left out, as Serialize leaves out an unknown id.
+  static std::string SerializeRecords(const std::vector<Node>& records,
+                                      NodeId root);
+
   /// Structural equality of two subtrees (names, attributes, text, order);
   /// ignores node ids and comments.
   static bool SubtreeEquals(const Document& a, NodeId a_id, const Document& b,
@@ -430,8 +441,6 @@ class Document {
   /// the slot's string/vector capacity is recycled).
   void FreeNode(NodeId id);
 
-  void SerializeNode(NodeId id, bool pretty, int depth,
-                     std::string* out) const;
   void DestroySubtree(NodeId id);
   NodeId ImportRec(const Document& src, NodeId src_id);
 

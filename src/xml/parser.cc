@@ -14,19 +14,24 @@ namespace {
 using Attributes = std::vector<std::pair<std::string, std::string>>;
 
 /// Recursive-descent parser over a string_view. Tracks line numbers for
-/// error messages.
+/// error messages. It builds into `doc_`; with a null `doc_` it makes a dry
+/// run that accepts and rejects exactly the same input, with the same
+/// Status, but creates nothing and copies no names, values or text.
 class ParserImpl {
  public:
-  ParserImpl(std::string_view input, const ParseOptions& options)
-      : input_(input), options_(options) {}
+  ParserImpl(std::string_view input, const ParseOptions& options,
+             Document* doc)
+      : input_(input), options_(options), doc_(doc) {}
 
+  /// Parses a whole document into a fresh Document.
   Result<std::unique_ptr<Document>> Run() {
     SkipWhitespaceAndMisc();
     if (!AtTagOpen()) return Error("expected a root element");
     // Parse the root element into a placeholder document, then splice it in
     // as the document root by re-parsing children directly.
     auto doc = std::make_unique<Document>("placeholder");
-    AXMLX_ASSIGN_OR_RETURN(NodeId root, ParseElement(doc.get()));
+    doc_ = doc.get();
+    AXMLX_ASSIGN_OR_RETURN(NodeId root, ParseElement());
     // Replace the placeholder root with the parsed element. Renaming goes
     // through the document so the interned name id and tag index follow.
     const Node* parsed = doc->Find(root);
@@ -44,11 +49,18 @@ class ParserImpl {
     doc->FindMutable(root)->children.clear();
     auto removed = doc->RemoveSubtree(root);
     if (!removed.ok()) return removed.status();
-    SkipWhitespaceAndMisc();
-    if (pos_ != input_.size()) {
-      return Error("trailing content after the root element");
-    }
+    AXMLX_RETURN_IF_ERROR(CheckTrailing());
     return doc;
+  }
+
+  /// Parses one element as a virtual root: its children become detached
+  /// top-level nodes of `doc_` (ids appended to `*top`); the element itself
+  /// is checked but built nowhere.
+  Status RunVirtualRoot(std::vector<NodeId>* top) {
+    SkipWhitespaceAndMisc();
+    if (!AtTagOpen()) return Error("expected a root element");
+    AXMLX_RETURN_IF_ERROR(ParseElement(top).status());
+    return CheckTrailing();
   }
 
  private:
@@ -127,7 +139,16 @@ class ParserImpl {
     return input_.substr(start, pos_ - start);
   }
 
-  Result<std::string> ParseQuotedValue() {
+  Status CheckTrailing() {
+    SkipWhitespaceAndMisc();
+    if (pos_ != input_.size()) {
+      return Error("trailing content after the root element");
+    }
+    return Status::Ok();
+  }
+
+  /// A quoted attribute value, still escaped, as a view into the input.
+  Result<std::string_view> ParseQuotedValue() {
     if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
       return Error("expected a quoted attribute value");
     }
@@ -136,16 +157,29 @@ class ParserImpl {
     size_t start = pos_;
     AdvanceTo(quote);
     if (AtEnd()) return Error("unterminated attribute value");
-    std::string value = XmlUnescape(input_.substr(start, pos_ - start));
+    std::string_view value = input_.substr(start, pos_ - start);
     Advance();  // closing quote
     return value;
   }
 
-  /// Parses one element (cursor at '<') into `doc`, detached.
-  Result<NodeId> ParseElement(Document* doc) {
+  /// Parses one element (cursor at '<') into `doc_`, detached, and returns
+  /// its id. With a non-null `top` the element is virtual: its attributes
+  /// are checked and dropped, its children are created detached and their
+  /// ids appended to `*top`, and kNullNode comes back. A dry run checks the
+  /// same and returns kNullNode.
+  Result<NodeId> ParseElement(std::vector<NodeId>* top = nullptr) {
     Advance();  // '<'
     AXMLX_ASSIGN_OR_RETURN(std::string_view name, ParseName());
-    NodeId elem = doc->CreateElement(name);
+    const bool build = doc_ != nullptr && top == nullptr;
+    const NodeId elem = build ? doc_->CreateElement(name) : kNullNode;
+    // Children are linked under `elem`, or listed as top-level nodes.
+    auto adopt = [&](NodeId child) -> Status {
+      if (top != nullptr) {
+        top->push_back(child);
+        return Status::Ok();
+      }
+      return doc_->AppendChild(elem, child);
+    };
     // Attributes, set in one go: a repeated key keeps its first position
     // and takes the last value, as SetAttribute would.
     Attributes attrs;
@@ -158,7 +192,9 @@ class ParserImpl {
       if (AtEnd() || Peek() != '=') return Error("expected '=' after attribute");
       Advance();
       SkipWhitespace();
-      AXMLX_ASSIGN_OR_RETURN(std::string value, ParseQuotedValue());
+      AXMLX_ASSIGN_OR_RETURN(std::string_view raw, ParseQuotedValue());
+      if (!build) continue;
+      std::string value = XmlUnescape(raw);
       auto same = std::find_if(attrs.begin(), attrs.end(),
                                [key](const auto& kv) { return kv.first == key; });
       if (same != attrs.end()) {
@@ -168,7 +204,7 @@ class ParserImpl {
       }
     }
     if (!attrs.empty()) {
-      AXMLX_RETURN_IF_ERROR(doc->SetAttributes(elem, std::move(attrs)));
+      AXMLX_RETURN_IF_ERROR(doc_->SetAttributes(elem, std::move(attrs)));
     }
     if (LookingAt("/>")) {
       Advance(2);
@@ -197,10 +233,11 @@ class ParserImpl {
         size_t start = pos_;
         while (!AtEnd() && !LookingAt("-->")) Advance();
         if (AtEnd()) return Error("unterminated comment");
-        NodeId comment =
-            doc->CreateComment(std::string(input_.substr(start, pos_ - start)));
+        const std::string_view comment = input_.substr(start, pos_ - start);
         Advance(3);
-        AXMLX_RETURN_IF_ERROR(doc->AppendChild(elem, comment));
+        if (doc_ != nullptr) {
+          AXMLX_RETURN_IF_ERROR(adopt(doc_->CreateComment(comment)));
+        }
         continue;
       }
       if (LookingAt("<![CDATA[")) return Error("CDATA is not supported");
@@ -209,13 +246,14 @@ class ParserImpl {
         return Error("processing instructions are not supported here");
       }
       if (Peek() == '<') {
-        AXMLX_ASSIGN_OR_RETURN(NodeId child, ParseElement(doc));
-        AXMLX_RETURN_IF_ERROR(doc->AppendChild(elem, child));
+        AXMLX_ASSIGN_OR_RETURN(NodeId child, ParseElement());
+        if (doc_ != nullptr) AXMLX_RETURN_IF_ERROR(adopt(child));
         continue;
       }
       // Character data up to the next '<'.
       size_t start = pos_;
       AdvanceTo('<');
+      if (doc_ == nullptr) continue;
       std::string_view raw = input_.substr(start, pos_ - start);
       std::string unescaped;
       if (raw.find('&') == std::string_view::npos) {
@@ -230,13 +268,13 @@ class ParserImpl {
           if (raw.empty()) continue;
         }
       }
-      NodeId tn = doc->CreateText(raw);
-      AXMLX_RETURN_IF_ERROR(doc->AppendChild(elem, tn));
+      AXMLX_RETURN_IF_ERROR(adopt(doc_->CreateText(raw)));
     }
   }
 
   std::string_view input_;
   ParseOptions options_;
+  Document* doc_;
   size_t pos_ = 0;
   int line_ = 1;
 };
@@ -245,8 +283,22 @@ class ParserImpl {
 
 Result<std::unique_ptr<Document>> Parse(std::string_view input,
                                         const ParseOptions& options) {
-  ParserImpl parser(input, options);
+  ParserImpl parser(input, options, /*doc=*/nullptr);
   return parser.Run();
+}
+
+Result<std::vector<NodeId>> ParseInto(Document* target,
+                                      std::string_view wrapped,
+                                      const ParseOptions& options) {
+  std::vector<NodeId> top;
+  // The dry run rejects a malformed payload before `target` sees any of it.
+  AXMLX_RETURN_IF_ERROR(
+      ParserImpl(wrapped, options, /*doc=*/nullptr).RunVirtualRoot(&top));
+  if (target != nullptr) {
+    AXMLX_RETURN_IF_ERROR(
+        ParserImpl(wrapped, options, target).RunVirtualRoot(&top));
+  }
+  return top;
 }
 
 }  // namespace axmlx::xml

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "xml/document.h"
@@ -25,6 +26,19 @@ struct ParseOptions {
 /// are rejected with a kParseError status.
 Result<std::unique_ptr<Document>> Parse(std::string_view input,
                                         const ParseOptions& options = {});
+
+/// Parses an operation payload — one wrapper element, `<data>…</data>` —
+/// straight into `target`: the wrapper's children become detached nodes of
+/// `target`, and their ids come back in document order. Nodes take ids in
+/// pre-order, as Document::ImportSubtree would give them when copying each
+/// child of the Parse(wrapped) root in turn. The wrapper itself, attributes
+/// included, is checked but built nowhere. A dry run of the same parser
+/// checks the whole text first, so a malformed payload creates no node and
+/// consumes no id; it fails with the Status Parse(wrapped) returns. With a
+/// null `target` only that check runs, and the list comes back empty.
+Result<std::vector<NodeId>> ParseInto(Document* target,
+                                      std::string_view wrapped,
+                                      const ParseOptions& options = {});
 
 }  // namespace axmlx::xml
 

@@ -48,6 +48,51 @@ TEST(Payload, ParamsRoundTrip) {
   EXPECT_TRUE(empty->empty());
 }
 
+TEST(Payload, ParamsRoundTripKeepsExactText) {
+  const std::vector<txn::Params> cases = {
+      {{"a", "  padded  "}, {"b", "   "}},
+      {{"entities", "<a href=\"x\">&amp; 'q'</a>"}, {"amp", "&&;"}},
+      {{"lines", "one\ntwo\r\n\tthree\n"}},
+      {{"empty", ""}, {"", "nameless"}},
+      {{"k y", "v"}, {"k y", "repeated"}},
+  };
+  for (const txn::Params& params : cases) {
+    auto decoded = txn::DecodeParams(txn::EncodeParams(params));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(*decoded, params);
+  }
+}
+
+TEST(Payload, DecodeParamsAcceptsLayoutAndRejectsMalformedBodies) {
+  auto spaced = txn::DecodeParams(
+      "\n<params>\n  <param name='a'> x </param>\n  <param name=\"b\"/>\n"
+      "</params>\n");
+  ASSERT_TRUE(spaced.ok()) << spaced.status();
+  EXPECT_EQ(*spaced, (txn::Params{{"a", " x "}, {"b", ""}}));
+  auto none = txn::DecodeParams("<params/>");
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_TRUE(none->empty());
+
+  auto wrong_root =
+      txn::DecodeParams("<args><param name=\"a\">x</param></args>");
+  ASSERT_FALSE(wrong_root.ok());
+  EXPECT_EQ(wrong_root.status().message(),
+            "DecodeParams: expected a <params> element");
+  auto nameless = txn::DecodeParams("<params><param>x</param></params>");
+  ASSERT_FALSE(nameless.ok());
+  EXPECT_EQ(nameless.status().message(),
+            "DecodeParams: <param> without a name");
+  for (const char* body :
+       {"<params>", "<params><param name=\"a\">x</params>",
+        "<params><param name=\"a\"><b/></param></params>",
+        "<params><param name=a>x</param></params>",
+        "<params></params>trailing", "<paramsx/>", "not xml"}) {
+    auto decoded = txn::DecodeParams(body);
+    ASSERT_FALSE(decoded.ok()) << body;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << body;
+  }
+}
+
 TEST(Directory, BuildChainMatchesFigureOne) {
   AxmlRepository repo(1);
   ScenarioOptions options;
@@ -257,6 +302,51 @@ TEST(TxnProtocol, ParamsReachRemoteServices) {
     return true;
   });
   EXPECT_EQ(who, (std::vector<std::string>{"federer", "nadal"}));
+}
+
+TEST(TxnProtocol, RemoteSubcallReceivesParamsVerbatim) {
+  // A parameter crosses the wire in an INVOKE body; the remote service must
+  // substitute the same text a local invocation would, surrounding
+  // whitespace included. Attribute values keep it, so the recorded entry
+  // shows what `${who}` was.
+  AxmlRepository repo(1);
+  AxmlRepository::PeerConfig a{"A", false, AxmlRepository::Protocol::kBaseline,
+                               {}, 1};
+  AxmlRepository::PeerConfig b{"B", false, AxmlRepository::Protocol::kBaseline,
+                               {}, 2};
+  ASSERT_TRUE(repo.AddPeer(a).ok());
+  ASSERT_TRUE(repo.AddPeer(b).ok());
+  ASSERT_TRUE(repo.HostDocument("A", "<DataA><log/></DataA>").ok());
+  ASSERT_TRUE(repo.HostDocument("B", "<DataB><log/></DataB>").ok());
+  service::ServiceDefinition record;
+  record.name = "Record";
+  record.document = "DataB";
+  record.ops.push_back(ops::MakeInsert("Select d from d in DataB//log",
+                                       "<entry who=\"${who}\">x</entry>"));
+  ASSERT_TRUE(repo.HostService("B", record).ok());
+  service::ServiceDefinition root;
+  root.name = "Root";
+  root.document = "DataA";
+  root.subcalls.push_back({"B", "Record", {}, {{"who", "${who}"}}});
+  ASSERT_TRUE(repo.HostService("A", std::move(root)).ok());
+  const std::string padded = "  padded  ";
+  // Local: B runs Record itself. Remote: A forwards the param to B.
+  auto local = repo.RunTransaction("B", "TL", "Record", {{"who", padded}});
+  ASSERT_TRUE(local.ok()) << local.status();
+  EXPECT_TRUE(local->status.ok()) << local->status;
+  auto remote = repo.RunTransaction("A", "TR", "Root", {{"who", padded}});
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  EXPECT_TRUE(remote->status.ok()) << remote->status;
+  xml::Document* doc = repo.FindPeer("B")->repository().GetDocument("DataB");
+  std::vector<std::string> who;
+  doc->Walk(doc->root(), [&who](const xml::Node& n) {
+    if (n.is_element() && n.name == "entry") {
+      const std::string* w = n.FindAttribute("who");
+      who.push_back(w != nullptr ? *w : std::string());
+    }
+    return true;
+  });
+  EXPECT_EQ(who, (std::vector<std::string>{padded, padded}));
 }
 
 TEST(TxnProtocol, PeerIndependentCompensationUsesPlans) {

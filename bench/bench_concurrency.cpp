@@ -187,12 +187,9 @@ void WriteReport(bool smoke) {
     // MeasureThroughput's default rate counts *rounds* per second (each
     // round commits txns*4 ops), which is what the old report published as
     // "ops_per_sec" — off by three orders of magnitude from the E13
-    // narrative. Overwrite with the committed-operation rates on both
-    // clocks: wall (real seconds) and simulated (logical op ticks, one
-    // tick = 1us).
+    // narrative. Overwrite with the committed-operation rate per wall
+    // second.
     report.SetWallOpsPerSec(wall_s > 0 ? committed / wall_s : 0);
-    const int64_t sim_ticks = exec.timeline_now();
-    report.SetSimOpsPerSec(sim_ticks > 0 ? committed * 1e6 / sim_ticks : 0);
     report.AddCounter("txn.committed_ops", committed);
     auto snap = exec.metrics()->Snapshot();
     for (const char* name :

@@ -119,9 +119,9 @@ class JsonReport {
   JsonReport(std::string name, bool smoke)
       : name_(std::move(name)), smoke_(smoke) {}
 
-  /// Sets the headline `ops_per_sec` field only. Prefer SetWallOpsPerSec /
-  /// SetSimOpsPerSec, which say which clock the rate is measured against —
-  /// the one-field schema let bench_concurrency publish a rounds-per-second
+  /// Sets the headline `ops_per_sec` field only. Prefer SetWallOpsPerSec,
+  /// which says which clock the rate is measured against — the one-field
+  /// schema let bench_concurrency publish a rounds-per-second
   /// number (4.8) next to an ops-per-second narrative (~26k) for a full PR
   /// cycle before anyone noticed the units mismatch.
   void SetOpsPerSec(double ops) { ops_per_sec_ = ops; }
@@ -135,14 +135,6 @@ class JsonReport {
     ops_per_sec_ = ops;
   }
 
-  /// Operations per second of *simulated* time, with one simulation tick
-  /// read as one microsecond. Orthogonal to the wall rate: sim-time
-  /// throughput is deterministic (same protocol, same number) while the
-  /// wall rate moves with the machine and the scheduling mode.
-  void SetSimOpsPerSec(double ops) {
-    sim_ops_per_sec_ = ops;
-    has_sim_ = true;
-  }
   void AddCounter(const std::string& name, int64_t value) {
     counters_.emplace_back(name, value);
   }
@@ -161,11 +153,6 @@ class JsonReport {
     if (has_wall_) {
       std::snprintf(buf, sizeof(buf), ",\"wall_ops_per_sec\":%.3f",
                     wall_ops_per_sec_);
-      out += buf;
-    }
-    if (has_sim_) {
-      std::snprintf(buf, sizeof(buf), ",\"sim_ops_per_sec\":%.3f",
-                    sim_ops_per_sec_);
       out += buf;
     }
     out += ",\"counters\":{";
@@ -202,9 +189,7 @@ class JsonReport {
   bool smoke_ = false;
   double ops_per_sec_ = 0;
   double wall_ops_per_sec_ = 0;
-  double sim_ops_per_sec_ = 0;
   bool has_wall_ = false;
-  bool has_sim_ = false;
   std::vector<std::pair<std::string, int64_t>> counters_;
   std::vector<std::pair<std::string, obs::HistogramSnapshot>> histograms_;
 };

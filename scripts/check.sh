@@ -2,10 +2,9 @@
 # CI gate for axmlx: warnings-as-errors build, full test suite, project
 # linter (plus a machine-readable `axmlx_lint --json` artifact), a perf
 # smoke stage (which includes the bench_obs_overhead flight-recorder budget
-# gate), an end-to-end forensics render, the fault-injection, call-catalog,
-# payload and MVCC suites under ASan/UBSan, and finally the fault+mvcc
-# suites under TSan (-DAXMLX_SANITIZE=thread). Exits non-zero on the first
-# failure. See DESIGN.md §6b.
+# gate), an end-to-end forensics render, and the fault-injection,
+# call-catalog, payload and MVCC suites under ASan/UBSan. Exits non-zero on
+# the first failure. See DESIGN.md §6b.
 #
 # The perf smoke stage runs the hot-path benches with --smoke and diffs
 # their reports against the committed smoke baselines in
@@ -134,21 +133,5 @@ step "sanitizer isolation matrix (ctest -L mvcc)"
 # paths where a stale Node* or double-free would hide.
 cmake --build "$SAN_DIR" -j "$JOBS" --target isolation_matrix_test
 ctest --test-dir "$SAN_DIR" -L mvcc --output-on-failure -j "$JOBS"
-
-step "thread sanitizer (-DAXMLX_SANITIZE=thread) + fault/mvcc/runtime suites"
-# TSan is the dynamic half of the concurrency scaffolding for the
-# worker-pool runtime (DESIGN.md §11); the static half is lint R9 +
-# clang -Wthread-safety. The runtime suites drive real worker threads
-# through the wave protocol — unit coverage plus the differential oracle
-# (parallel vs deterministic at 1/2/4/8 workers) — so a data race in the
-# hand-off or in a work stage's shared-state reads fires here.
-TSAN_DIR="$BUILD_DIR-tsan"
-cmake -B "$TSAN_DIR" -S . -DAXMLX_WERROR=ON -DAXMLX_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$JOBS" \
-  --target fault_injection_test fault_drill_test forensics_test \
-           replica_sync_test isolation_matrix_test runtime_test \
-           runtime_diff_test
-ctest --test-dir "$TSAN_DIR" -L 'fault|mvcc|runtime' --output-on-failure \
-  -j "$JOBS"
 
 step "OK: all gates passed"

@@ -7,10 +7,8 @@
 /// compiler proves every access to an AXMLX_GUARDED_BY member happens with
 /// its mutex held; under gcc the macros expand to nothing and the project
 /// linter's rule R9 still enforces that shared mutable state in obs/,
-/// storage/, and compensation/ carries annotations at all. This is the
-/// static half of the concurrency story ahead of the worker-pool runtime
-/// (ROADMAP item 2); the dynamic half is the AXMLX_SANITIZE=thread TSan
-/// stage in scripts/check.sh.
+/// storage/, and compensation/ carries annotations at all. The library
+/// starts no threads today; the macros keep any mutex added later honest.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 

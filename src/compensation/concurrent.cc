@@ -1,10 +1,8 @@
 #include "compensation/concurrent.h"
 
-#include <set>
 #include <utility>
 
 #include "obs/flight_recorder.h"
-#include "runtime/job_queue.h"
 #include "xml/edit.h"
 
 namespace axmlx::comp {
@@ -41,11 +39,6 @@ TxnHandle ConcurrentExecutor::Begin(const std::string& label) {
 
 Result<const ops::OpEffect*> ConcurrentExecutor::Execute(
     TxnHandle txn, const ops::Operation& op) {
-  return ExecuteImpl(txn, op, /*prep=*/nullptr);
-}
-
-Result<const ops::OpEffect*> ConcurrentExecutor::ExecuteImpl(
-    TxnHandle txn, const ops::Operation& op, ops::PreparedOp* prep) {
   auto it = txns_.find(txn);
   if (it == txns_.end()) {
     return InvalidArgument("unknown or finished transaction handle");
@@ -63,9 +56,7 @@ Result<const ops::OpEffect*> ConcurrentExecutor::ExecuteImpl(
   if (timeline_ != nullptr) {
     timeline_->Enter(t.label, obs::kPhaseEval, timeline_now_);
   }
-  Result<ops::OpEffect> result = prep != nullptr
-                                     ? exec.ExecutePrepared(op, std::move(*prep))
-                                     : exec.Execute(op);
+  Result<ops::OpEffect> result = exec.Execute(op);
   if (timeline_ != nullptr) {
     timeline_->Exit(t.label, obs::kPhaseEval, ++timeline_now_);
   }
@@ -76,18 +67,8 @@ Result<const ops::OpEffect*> ConcurrentExecutor::ExecuteImpl(
   if (timeline_ != nullptr) {
     timeline_->Enter(t.label, obs::kPhaseConflictCheck, timeline_now_);
   }
-  // The check itself always runs here, serialized on the caller (under the
-  // runtime, inside the job's apply stage); RunInline only adds typed
-  // accounting so conflict checks show up as kJobConflictCheck work.
-  std::optional<ops::Conflict> conflict;
-  auto check = [&] {
-    conflict = table_.CheckEffect(*doc_, result.value(), txn, t.snapshot);
-  };
-  if (runtime_ != nullptr) {
-    runtime_->RunInline(runtime::JobType::kJobConflictCheck, t.label, check);
-  } else {
-    check();
-  }
+  std::optional<ops::Conflict> conflict =
+      table_.CheckEffect(*doc_, result.value(), txn, t.snapshot);
   if (timeline_ != nullptr) {
     timeline_->Exit(t.label, obs::kPhaseConflictCheck, ++timeline_now_);
   }
@@ -108,55 +89,6 @@ Result<const ops::OpEffect*> ConcurrentExecutor::ExecuteImpl(
   }
   t.log.Append(std::move(result).value());
   return &t.log.effects().back();
-}
-
-std::vector<ConcurrentExecutor::BatchOutcome> ConcurrentExecutor::ExecuteBatch(
-    const std::vector<BatchOp>& batch) {
-  std::vector<BatchOutcome> out(batch.size());
-  // A nested batch (submitted from inside a job's apply stage) must not
-  // join the in-flight drain: its results live on this stack frame.
-  if (runtime_ != nullptr && !runtime_->draining() && !batch.empty()) {
-    std::vector<ops::PreparedOp> prepared(batch.size());
-    std::set<TxnHandle> seen;
-    // Work stages read the wave-start document concurrently; switch the
-    // const read paths to their cache-mutation-free variants for the drain.
-    doc_->SetConcurrentReads(true);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      auto it = txns_.find(batch[i].txn);
-      runtime::Job job;
-      job.type = runtime::JobType::kJobEval;
-      job.txn = it != txns_.end() ? it->second.label : std::string();
-      // Repeat ops of one transaction stay unprepared: their apply stage
-      // then runs the full synchronous path and sees the transaction's
-      // earlier same-batch writes live instead of through the stale
-      // wave-start snapshot.
-      if (it != txns_.end() && seen.insert(batch[i].txn).second) {
-        xml::ReadView view = it->second.ctx.view;
-        job.work = [this, &batch, &prepared, i,
-                    view](runtime::WorkerContext& wc) {
-          wc.eval->view = view;
-          wc.eval->InvalidateCaches();
-          prepared[i] = ops::Executor::Prepare(*doc_, batch[i].op, wc.eval);
-        };
-      }
-      job.apply = [this, &batch, &prepared, &out, i] {
-        Result<const ops::OpEffect*> r =
-            ExecuteImpl(batch[i].txn, batch[i].op, &prepared[i]);
-        out[i].status = r.status();
-        out[i].effect = r.ok() ? r.value() : nullptr;
-      };
-      runtime_->Submit(std::move(job));
-    }
-    runtime_->Drain();
-    doc_->SetConcurrentReads(false);
-    return out;
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Result<const ops::OpEffect*> r = Execute(batch[i].txn, batch[i].op);
-    out[i].status = r.status();
-    out[i].effect = r.ok() ? r.value() : nullptr;
-  }
-  return out;
 }
 
 Status ConcurrentExecutor::Commit(TxnHandle txn) {
@@ -200,25 +132,17 @@ Status ConcurrentExecutor::CompensateAndEnd(TxnHandle txn, Txn* t,
   }
   Status status = Status::Ok();
   if (!t->log.empty()) {
-    auto compensate = [&] {
-      CompensationPlan plan = CompensationBuilder::ForLog(t->log);
-      // Compensation runs against the *live* document (open nesting: our
-      // writes are already visible), under our writer tag so other snapshots
-      // treat the undo like any concurrent write.
-      doc_->SetWriter(txn);
-      ops::Executor exec(doc_, invoker_);
-      query::EvalContext live_ctx;
-      exec.SetEvalContext(&live_ctx);
-      exec.SetRecorder(recorder_);
-      status = ApplyPlan(&exec, plan);
-      doc_->SetWriter(0);
-    };
-    if (runtime_ != nullptr) {
-      runtime_->RunInline(runtime::JobType::kJobCompensation, t->label,
-                          compensate);
-    } else {
-      compensate();
-    }
+    CompensationPlan plan = CompensationBuilder::ForLog(t->log);
+    // Compensation runs against the *live* document (open nesting: our
+    // writes are already visible), under our writer tag so other snapshots
+    // treat the undo like any concurrent write.
+    doc_->SetWriter(txn);
+    ops::Executor exec(doc_, invoker_);
+    query::EvalContext live_ctx;
+    exec.SetEvalContext(&live_ctx);
+    exec.SetRecorder(recorder_);
+    status = ApplyPlan(&exec, plan);
+    doc_->SetWriter(0);
   }
   if (timeline_ != nullptr) {
     timeline_->Enter(t->label, obs::kPhaseCompensation, timeline_now_);

@@ -22,10 +22,6 @@ namespace axmlx::obs {
 class FlightRecorder;
 }  // namespace axmlx::obs
 
-namespace axmlx::runtime {
-class JobQueue;
-}  // namespace axmlx::runtime
-
 namespace axmlx::comp {
 
 /// Identifies one in-flight transaction of a ConcurrentExecutor. Handles are
@@ -70,37 +66,6 @@ class ConcurrentExecutor {
   /// errors the transaction stays active and the document is untouched.
   Result<const ops::OpEffect*> Execute(TxnHandle txn, const ops::Operation& op);
 
-  /// One entry of an ExecuteBatch: an operation to run on behalf of an
-  /// already-begun transaction.
-  struct BatchOp {
-    TxnHandle txn = 0;
-    ops::Operation op;
-  };
-
-  /// Outcome of one batch entry, mirroring Execute's contract: `effect` is
-  /// owned by the transaction's log and valid until Commit/Abort; a
-  /// kConflict status means the transaction was aborted and compensated.
-  struct BatchOutcome {
-    Status status;
-    const ops::OpEffect* effect = nullptr;
-  };
-
-  /// Executes a batch of operations from *distinct* transactions. With a
-  /// runtime attached (AttachRuntime), each entry's read-only half runs as a
-  /// kJobEval work stage — location queries evaluated concurrently against
-  /// the wave-start document through each transaction's snapshot view — and
-  /// its mutation half (including conflict check and compensation) applies
-  /// serially in batch order, which makes outcomes identical to calling
-  /// Execute sequentially in batch order — and identical across worker
-  /// counts (DESIGN.md §11). Without a runtime it does exactly that,
-  /// sequentially. Entries sharing a TxnHandle with an earlier entry skip
-  /// the prepared path: an operation must see its own transaction's earlier
-  /// writes live, not through the wave-start snapshot. One caveat vs pure
-  /// sequential execution: an embedded service call *inserted* by an
-  /// earlier batch entry is only considered for materialization from the
-  /// next batch on (prepare decisions are taken at wave start).
-  std::vector<BatchOutcome> ExecuteBatch(const std::vector<BatchOp>& batch);
-
   /// Commits `txn`: its writes become durable history, its snapshot is
   /// released, and version records no active snapshot can reach are pruned.
   Status Commit(TxnHandle txn);
@@ -130,16 +95,6 @@ class ConcurrentExecutor {
   /// the QUEUE_WAIT residual (see DESIGN.md §7).
   void AttachTimeline(obs::Timeline* timeline) { timeline_ = timeline; }
 
-  /// Attaches the worker pool ExecuteBatch parallelizes over (not owned;
-  /// null detaches). Also routes conflict-check and compensation work
-  /// through JobQueue::RunInline for typed job accounting.
-  void AttachRuntime(runtime::JobQueue* rt) { runtime_ = rt; }
-
-  /// Elapsed ticks of the logical op clock driving the timeline stamps
-  /// (only advances while a timeline is attached; zero otherwise). Benches
-  /// read it to turn committed-op counts into a simulated-time rate.
-  [[nodiscard]] int64_t timeline_now() const { return timeline_now_; }
-
  private:
   struct Txn {
     std::string label;
@@ -147,12 +102,6 @@ class ConcurrentExecutor {
     query::EvalContext ctx;  ///< Per-txn: memos are only valid for one view.
     ops::OpLog log;
   };
-
-  /// Execute() with an optional precomputed read half (null: resolve
-  /// synchronously).
-  Result<const ops::OpEffect*> ExecuteImpl(TxnHandle txn,
-                                           const ops::Operation& op,
-                                           ops::PreparedOp* prep);
 
   /// Compensates `t`'s executed operations (reverse order) against the live
   /// document and unregisters it. `why` feeds the flight recorder.
@@ -165,7 +114,6 @@ class ConcurrentExecutor {
   axml::ServiceInvoker invoker_;
   obs::FlightRecorder* recorder_;
   obs::Timeline* timeline_ = nullptr;
-  runtime::JobQueue* runtime_ = nullptr;
   int64_t timeline_now_ = 0;  ///< Logical op clock for timeline stamps.
   ops::ConflictTable table_;
   std::map<TxnHandle, Txn> txns_;

@@ -103,39 +103,6 @@ inline constexpr char kMetricQueryIndexCandidates[] =
     "query.index_candidates";
 inline constexpr char kMetricQueryWalkFallbacks[] = "query.walk_fallbacks";
 
-// --- runtime.* / job.*: typed-priority worker pool (src/runtime) ---------
-// The JobQueue publishes pool-level counters under runtime.* and per-type
-// queue-depth gauges / run-latency histograms under job.<type>.*; the
-// <type> segment is JobTypeName() of the kJob* taxonomy (runtime/job.h).
-inline constexpr char kMetricRuntimeJobsSubmitted[] =
-    "runtime.jobs_submitted";
-inline constexpr char kMetricRuntimeJobsExecuted[] = "runtime.jobs_executed";
-inline constexpr char kMetricRuntimeInlineRuns[] = "runtime.inline_runs";
-inline constexpr char kMetricRuntimeWaves[] = "runtime.waves";
-inline constexpr char kMetricRuntimeWorkers[] = "runtime.workers";
-inline constexpr char kMetricJobRecoveryQueueDepth[] =
-    "job.recovery.queue_depth";
-inline constexpr char kMetricJobCompensationQueueDepth[] =
-    "job.compensation.queue_depth";
-inline constexpr char kMetricJobConflictCheckQueueDepth[] =
-    "job.conflict_check.queue_depth";
-inline constexpr char kMetricJobWalAppendQueueDepth[] =
-    "job.wal_append.queue_depth";
-inline constexpr char kMetricJobFlushQueueDepth[] = "job.flush.queue_depth";
-inline constexpr char kMetricJobEvalQueueDepth[] = "job.eval.queue_depth";
-inline constexpr char kMetricJobServiceCallQueueDepth[] =
-    "job.service_call.queue_depth";
-inline constexpr char kMetricJobRecoveryRunUs[] = "job.recovery.run_us";
-inline constexpr char kMetricJobCompensationRunUs[] =
-    "job.compensation.run_us";
-inline constexpr char kMetricJobConflictCheckRunUs[] =
-    "job.conflict_check.run_us";
-inline constexpr char kMetricJobWalAppendRunUs[] = "job.wal_append.run_us";
-inline constexpr char kMetricJobFlushRunUs[] = "job.flush.run_us";
-inline constexpr char kMetricJobEvalRunUs[] = "job.eval.run_us";
-inline constexpr char kMetricJobServiceCallRunUs[] =
-    "job.service_call.run_us";
-
 // --- obs.*: observability self-accounting --------------------------------
 inline constexpr char kMetricObsSpansCloseUnknown[] =
     "obs.spans_close_unknown";

@@ -110,51 +110,8 @@ Status Executor::InsertData(std::string_view payload, xml::NodeId parent,
   return Status::Ok();
 }
 
-PreparedOp Executor::Prepare(const xml::Document& doc, const Operation& op,
-                             query::EvalContext* ctx) {
-  PreparedOp prep;
-  // Fall back to the full synchronous path whenever execution could do more
-  // than read-then-mutate: compensating restores (exact-id reattach), direct
-  // target ids (live Contains check at execute time), eager materialization,
-  // or any embedded service call the <location> evaluation might
-  // materialize. Prepare-time failures also fall back so the synchronous
-  // path reproduces the exact error.
-  if (op.restore != nullptr || op.eager || op.target_node != xml::kNullNode ||
-      op.location.empty()) {
-    return prep;
-  }
-  std::vector<xml::NodeId> calls;
-  doc.CollectElementsNamed(xml::kNameAxmlSc, &calls);
-  if (!calls.empty()) return prep;
-  auto q_or = query::ParseQuery(op.location);
-  if (!q_or.ok()) return prep;
-  Result<query::QueryResult> result_or =
-      ctx != nullptr ? query::EvaluateQuery(doc, q_or.value(), ctx)
-                     : query::EvaluateQuery(doc, q_or.value());
-  if (!result_or.ok()) return prep;
-  // The payload is only checked here: ExecutePrepared parses it into the
-  // document once per target, as Execute does.
-  if ((op.type == ActionType::kInsert || op.type == ActionType::kReplace) &&
-      !xml::ParseInto(nullptr, WrapPayload(op)).ok()) {
-    return prep;
-  }
-  if (op.type == ActionType::kQuery) {
-    prep.query_result = std::move(result_or).value();
-    prep.targets = prep.query_result.AllSelected();
-  } else {
-    prep.targets = result_or.value().AllSelected();
-  }
-  prep.prepared = true;
-  return prep;
-}
-
 Result<OpEffect> Executor::Execute(const Operation& op) {
-  return ExecutePrepared(op, PreparedOp{});
-}
-
-Result<OpEffect> Executor::ExecutePrepared(const Operation& op,
-                                           PreparedOp prep) {
-  Result<OpEffect> result = ExecuteInternal(op, &prep);
+  Result<OpEffect> result = ExecuteInternal(op);
   if (recorder_ != nullptr) {
     // `what` is the lowercase action name; `arg` carries the paper's cost
     // measure (nodes affected), or -1 for a failed operation.
@@ -167,9 +124,7 @@ Result<OpEffect> Executor::ExecutePrepared(const Operation& op,
   return result;
 }
 
-Result<OpEffect> Executor::ExecuteInternal(const Operation& op,
-                                           PreparedOp* prep) {
-  const bool use_prep = prep != nullptr && prep->prepared;
+Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
   OpEffect effect;
   effect.op = op;
   auto fail = [this, &effect](Status status) -> Status {
@@ -183,16 +138,9 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op,
     return status;
   };
 
-  if (use_prep) {
-    effect.targets = std::move(prep->targets);
-    if (op.type == ActionType::kQuery) {
-      effect.query_result = std::move(prep->query_result);
-    }
-  } else {
-    auto targets_or = ResolveLocation(op, &effect);
-    if (!targets_or.ok()) return fail(targets_or.status());
-    effect.targets = std::move(targets_or).value();
-  }
+  auto targets_or = ResolveLocation(op, &effect);
+  if (!targets_or.ok()) return fail(targets_or.status());
+  effect.targets = std::move(targets_or).value();
 
   switch (op.type) {
     case ActionType::kQuery:

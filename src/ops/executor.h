@@ -48,26 +48,6 @@ struct OpEffect {
   size_t NodesAffected() const { return edits.TotalNodesAffected(); }
 };
 
-/// The precomputed read-only half of one operation's execution: resolved
-/// <location> targets, with the `<data>` payload checked. Built by
-/// Executor::Prepare (pure — never touches the document) and consumed by
-/// Executor::ExecutePrepared, which runs only the mutation half. This is
-/// the split the worker-pool runtime parallelizes across (DESIGN.md §11):
-/// work stages Prepare concurrently against a wave-start snapshot, apply
-/// stages ExecutePrepared serially in canonical order.
-///
-/// `prepared == false` means the operation was not preparable (embedded
-/// service calls that may materialize, eager ops, compensating restores,
-/// direct target ids, or a prepare-time parse/eval failure) —
-/// ExecutePrepared then falls back to the full synchronous Execute path,
-/// preserving its exact semantics. The payload itself is parsed at execute
-/// time, straight into the document (xml::ParseInto), on both paths.
-struct PreparedOp {
-  bool prepared = false;
-  std::vector<xml::NodeId> targets;
-  query::QueryResult query_result;  ///< kQuery only.
-};
-
 /// Executes operations against one document, logging effects.
 ///
 /// Query evaluation materializes embedded service calls through `invoker`
@@ -105,36 +85,14 @@ class Executor {
   /// left untouched (partial work is rolled back internally).
   Result<OpEffect> Execute(const Operation& op);
 
-  /// Resolves `op`'s read-only half against `doc` without mutating it:
-  /// parses the <location> query, evaluates it through `ctx` (whose view
-  /// selects the snapshot; may be null for live standalone evaluation), and
-  /// checks the data payload. Returns `prepared == false` whenever the
-  /// operation needs the full synchronous path (see PreparedOp). Safe to
-  /// run concurrently from several threads against one document when the
-  /// document is in concurrent-read mode and each caller owns its `ctx`.
-  ///
-  /// Prepare-time targets equal execute-time targets only when reads are
-  /// stable between the two — either nothing mutates the document in
-  /// between, or `ctx->view` pins an MVCC snapshot and every interleaved
-  /// mutation is version-recorded (the ConcurrentExecutor wave contract).
-  static PreparedOp Prepare(const xml::Document& doc, const Operation& op,
-                            query::EvalContext* ctx);
-
-  /// Executes `op` using `prep`'s precomputed targets, skipping
-  /// location resolution. Falls back to Execute(op) semantics when `prep`
-  /// is unprepared. Error handling matches Execute: the document is left
-  /// untouched on failure.
-  Result<OpEffect> ExecutePrepared(const Operation& op, PreparedOp prep);
-
   xml::Document* doc() { return doc_; }
 
  private:
   /// Evaluates through eval_ctx_ when one is set, else standalone.
   Result<query::QueryResult> Evaluate(const query::Query& q);
 
-  /// Execute() minus the flight-recorder stamp. `prep` (nullable) supplies
-  /// precomputed targets from Prepare.
-  Result<OpEffect> ExecuteInternal(const Operation& op, PreparedOp* prep);
+  /// Execute() minus the flight-recorder stamp.
+  Result<OpEffect> ExecuteInternal(const Operation& op);
 
   /// Parses `op.location` and evaluates it, materializing needed service
   /// calls into `effect->edits` first. Returns the selected target nodes.

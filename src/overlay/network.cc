@@ -6,7 +6,6 @@
 
 #include "obs/metric_names.h"
 #include "overlay/fault_injection.h"
-#include "runtime/job_queue.h"
 
 namespace axmlx::overlay {
 
@@ -321,10 +320,6 @@ void Network::RunUntil(Tick until) {
     if (timeline_ != nullptr) timeline_->SetNow(now_);
     if (ev.fn) {
       ev.fn(this);
-      // Jobs submitted by the closure finish inside this event: the queue
-      // is empty again at every event boundary (the crash-point invariant,
-      // see SetRuntime).
-      if (runtime_ != nullptr) runtime_->Drain();
       continue;
     }
     const Message& msg = *ev.message;
@@ -376,8 +371,6 @@ void Network::RunUntil(Tick until) {
       ++counters_.tick_calls;
       subscriber->OnTick(now_, this);
     }
-    // Same boundary invariant after delivery + tick fan-out.
-    if (runtime_ != nullptr) runtime_->Drain();
   }
   if (now_ < until) now_ = until;
   if (recorders_ != nullptr) recorders_->SetNow(now_);

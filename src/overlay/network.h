@@ -16,10 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 
-namespace axmlx::runtime {
-class JobQueue;
-}  // namespace axmlx::runtime
-
 namespace axmlx::overlay {
 
 /// Peers are addressed by readable ids matching the paper's figures
@@ -161,16 +157,6 @@ class Network {
   }
   obs::Timeline* timeline() { return timeline_; }
 
-  /// Attaches the worker pool peers submit jobs to (not owned; null
-  /// detaches). The event loop drains it after every dispatched event —
-  /// scheduled closure, message delivery, and the tick fan-out — so the
-  /// queue is provably empty at every event boundary. That is the parallel
-  /// runtime's crash-point invariant (DESIGN.md §11): Crash() only happens
-  /// between events, where no job is in flight, so the set of states a
-  /// crash can observe is identical with and without worker threads.
-  void SetRuntime(runtime::JobQueue* rt) { runtime_ = rt; }
-  runtime::JobQueue* runtime() { return runtime_; }
-
   // --- Messaging -----------------------------------------------------------
 
   /// Enqueues `message` for delivery after the link latency. Returns
@@ -292,7 +278,6 @@ class Network {
   NetCounters counters_{&metrics_};
   Trace* trace_;
   FaultPlan* fault_plan_ = nullptr;
-  runtime::JobQueue* runtime_ = nullptr;
   obs::FlightRecorderSet* recorders_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   std::string timeline_txn_header_;

@@ -14,7 +14,6 @@
 #include "ops/executor.h"
 #include "ops/op_log.h"
 #include "overlay/network.h"
-#include "runtime/job_queue.h"
 #include "service/repository.h"
 #include "txn/directory.h"
 #include "txn/peer.h"
@@ -142,25 +141,6 @@ class AxmlRepository {
                                     const std::string& service,
                                     const txn::Params& params = {});
 
-  /// Creates the repository's typed-priority worker pool and attaches it to
-  /// the overlay (drained at every event boundary), the phase timeline, the
-  /// flight recorders, and the network's metrics registry (runtime.*/job.*
-  /// series). `options.workers == 0` is the deterministic single-thread
-  /// scheduler, `> 0` spawns that many real worker threads — outcomes are
-  /// identical by construction (DESIGN.md §11). Call before peers start
-  /// doing work; calling again replaces the pool.
-  void EnableRuntime(const runtime::JobQueueOptions& options) {
-    network_->SetRuntime(nullptr);
-    runtime_ = std::make_unique<runtime::JobQueue>(options);
-    runtime_->AttachMetrics(&network_->metrics());
-    runtime_->AttachTimeline(&timeline_);
-    runtime_->AttachRecorders(&recorders_);
-    network_->SetRuntime(runtime_.get());
-  }
-
-  /// The worker pool, or null when EnableRuntime was never called.
-  runtime::JobQueue* runtime() { return runtime_.get(); }
-
   overlay::Network& network() { return *network_; }
   txn::ServiceDirectory& directory() { return directory_; }
   Trace& trace() { return trace_; }
@@ -217,7 +197,6 @@ class AxmlRepository {
   obs::Timeline timeline_;            ///< Must precede network_.
   obs::FlightRecorderSet recorders_;  ///< Must precede network_.
   std::unique_ptr<overlay::Network> network_;
-  std::unique_ptr<runtime::JobQueue> runtime_;  ///< Joined before the rest.
   txn::ServiceDirectory directory_;
   std::vector<txn::AxmlPeer*> peers_;
   std::string forensics_dir_;

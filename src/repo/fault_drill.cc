@@ -90,11 +90,6 @@ Status FaultDrill::AttachStorage(const overlay::PeerId& id,
       StoreDir(id, ps.incarnation), /*invoker=*/nullptr);
   ps.store->AttachTimeline(&repo_->timeline());
   AXMLX_RETURN_IF_ERROR(ps.store->Open());
-  // Post-Open: recovery replay stays synchronous; only live WAL traffic
-  // goes through the pool.
-  if (repo_->runtime() != nullptr) {
-    ps.store->AttachRuntime(repo_->runtime(), id);
-  }
   for (const std::string& xml_text : docs) {
     AXMLX_RETURN_IF_ERROR(ps.store->CreateDocument(xml_text));
   }
@@ -122,12 +117,6 @@ Status FaultDrill::SetUp() {
 
   repo_ = std::make_unique<AxmlRepository>(options_.seed);
   repo_->directory().SetReplicaPushObserver(options_.replica_push_observer);
-  if (options_.runtime_workers >= 0) {
-    runtime::JobQueueOptions rt;
-    rt.workers = options_.runtime_workers;
-    rt.seed = options_.runtime_seed;
-    repo_->EnableRuntime(rt);
-  }
   // Black boxes land next to the WALs they explain.
   repo_->SetForensicsDir(storage_root_ + "/forensics");
   repo_->network().SetLatency(/*base=*/1, /*jitter=*/2);

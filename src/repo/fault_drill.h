@@ -53,13 +53,6 @@ struct FaultDrillOptions {
 
   uint64_t seed = 20070415;
 
-  /// Worker-pool mode: -1 (default) runs without a runtime — the original
-  /// fully synchronous path; 0 enables the deterministic single-thread
-  /// scheduler; N > 0 spawns N worker threads. All modes produce identical
-  /// WAL bytes and decisions (DESIGN.md §11 — the differential oracle).
-  int runtime_workers = -1;
-  uint64_t runtime_seed = 1;
-
   /// Deliberately corrupt one worker's document outside any transaction
   /// after the first commit, so the next CheckInvariant() reports an
   /// atomicity violation. This exercises the forensic-dump path end to end

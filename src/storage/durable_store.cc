@@ -12,7 +12,6 @@
 
 #include "compensation/compensation.h"
 #include "obs/metric_names.h"
-#include "runtime/job_queue.h"
 #include "xml/id_codec.h"
 #include "xml/parser.h"
 
@@ -389,15 +388,6 @@ Status DurableStore::ReplayWal() {
 }
 
 Status DurableStore::FlushWal() {
-  // Deferred appends must reach the batch before we write it out; a nested
-  // call from inside a job's apply stage skips the barrier (Drain is a
-  // no-op there) and flushes what has applied so far.
-  if (runtime_ != nullptr) runtime_->Drain();
-  if (!wal_job_error_.ok()) return wal_job_error_;
-  return FlushWalNow();
-}
-
-Status DurableStore::FlushWalNow() {
   if (wal_batch_.empty()) return Status::Ok();
   if (!wal_.is_open()) {
     wal_.open(WalPath(directory_, epoch_), std::ios::app);
@@ -417,27 +407,7 @@ Status DurableStore::FlushWalNow() {
   return Status::Ok();
 }
 
-Status DurableStore::AppendWal(const std::string& record, bool force_flush,
-                               const std::string& txn) {
-  if (runtime_ == nullptr) return AppendWalNow(record, force_flush);
-  if (!wal_job_error_.ok()) return wal_job_error_;
-  runtime::Job job;
-  job.type = runtime::JobType::kJobWalAppend;
-  job.txn = txn;
-  job.peer = runtime_peer_;
-  // No work stage: appends are pure coordinator-side batch mutations. The
-  // apply stages run in submission order, so WAL bytes match the
-  // synchronous path exactly.
-  job.apply = [this, record, force_flush] {
-    Status s = AppendWalNow(record, force_flush);
-    if (!s.ok() && wal_job_error_.ok()) wal_job_error_ = s;
-  };
-  runtime_->Submit(std::move(job));
-  return Status::Ok();
-}
-
-Status DurableStore::AppendWalNow(const std::string& record,
-                                  bool force_flush) {
+Status DurableStore::AppendWal(const std::string& record, bool force_flush) {
   wal_batch_.append(record);
   wal_batch_.push_back('\n');
   ++batched_records_;
@@ -461,23 +431,7 @@ Status DurableStore::AppendWalNow(const std::string& record,
     case FlushPolicy::Mode::kOnResolve:
       break;
   }
-  if (!flush_now) return Status::Ok();
-  if (runtime_ != nullptr) {
-    // Group commit as its own typed job: the flush lands in the next wave,
-    // still inside the same network event, after every append already
-    // queued — so it commits at least the records the synchronous path
-    // would have (later same-event appends may piggyback on the batch).
-    runtime::Job job;
-    job.type = runtime::JobType::kJobFlush;
-    job.peer = runtime_peer_;
-    job.apply = [this] {
-      Status s = FlushWalNow();
-      if (!s.ok() && wal_job_error_.ok()) wal_job_error_ = s;
-    };
-    runtime_->Submit(std::move(job));
-    return Status::Ok();
-  }
-  return FlushWalNow();
+  return flush_now ? FlushWal() : Status::Ok();
 }
 
 Status DurableStore::CreateDocument(const std::string& xml_text) {
@@ -519,9 +473,8 @@ Status DurableStore::Begin(const std::string& txn) {
   if (active_txns_.count(txn) > 0) {
     return AlreadyExists("transaction " + txn + " is already active");
   }
-  AXMLX_RETURN_IF_ERROR(AppendWal("BEGIN " + txn + " " +
-                                      std::to_string(clock_),
-                                  /*force_flush=*/false, txn));
+  AXMLX_RETURN_IF_ERROR(
+      AppendWal("BEGIN " + txn + " " + std::to_string(clock_)));
   active_txns_[txn].begin_version = clock_;
   return Status::Ok();
 }
@@ -555,13 +508,19 @@ Result<const ops::OpEffect*> DurableStore::Execute(const std::string& txn,
   if (active_txns_.count(txn) == 0) {
     return FailedPrecondition("transaction " + txn + " is not active");
   }
-  // Log first, then apply (write-ahead).
+  // Apply, then log: an operation that fails (malformed payload, unknown
+  // target) must leave no OP record for replay to trip over. The record
+  // still precedes the transaction's RESOLVED record, and an applied but
+  // unlogged operation is lost with the in-memory state in a crash.
+  AXMLX_ASSIGN_OR_RETURN(const ops::OpEffect* effect, ApplyOp(txn, doc, op));
   MarkPhase(txn, obs::kPhaseWalAppend);
-  AXMLX_RETURN_IF_ERROR(AppendWal("OP " + txn + " " + doc + " " +
-                                      EncodeWalPayload(op.ToXml()),
-                                  /*force_flush=*/false, txn));
+  // The record is batched even when its flush fails, so it counts toward
+  // the RESOLVED op total either way.
+  Status logged =
+      AppendWal("OP " + txn + " " + doc + " " + EncodeWalPayload(op.ToXml()));
   active_txns_[txn].wal_ops++;
-  return ApplyOp(txn, doc, op);
+  AXMLX_RETURN_IF_ERROR(logged);
+  return effect;
 }
 
 Status DurableStore::Commit(const std::string& txn) {
@@ -573,7 +532,7 @@ Status DurableStore::Commit(const std::string& txn) {
   AXMLX_RETURN_IF_ERROR(AppendWal(
       "RESOLVED " + txn + " C " + std::to_string(it->second.wal_ops) + " " +
           std::to_string(clock_),
-      /*force_flush=*/true, txn));
+      /*force_flush=*/true));
   resolved_outcomes_[txn] = true;
   active_txns_.erase(it);
   return Status::Ok();
@@ -589,8 +548,7 @@ Status DurableStore::CompensateTxn(const std::string& txn, bool journal) {
     for (const ops::Operation& comp_op : plan.operations) {
       if (journal) {
         AXMLX_RETURN_IF_ERROR(AppendWal("OP " + txn + " " + doc + " " +
-                                            EncodeWalPayload(comp_op.ToXml()),
-                                        /*force_flush=*/false, txn));
+                                        EncodeWalPayload(comp_op.ToXml())));
         state.wal_ops++;
       }
       xml::Document* target = Get(doc);
@@ -620,7 +578,7 @@ Status DurableStore::Abort(const std::string& txn) {
       "RESOLVED " + txn + " A " +
           std::to_string(active_txns_[txn].wal_ops) + " " +
           std::to_string(clock_),
-      /*force_flush=*/true, txn));
+      /*force_flush=*/true));
   resolved_outcomes_[txn] = false;
   active_txns_.erase(txn);
   return Status::Ok();
@@ -648,16 +606,13 @@ Status DurableStore::SeedResolution(const std::string& txn, bool committed) {
   AXMLX_RETURN_IF_ERROR(AppendWal(
       "RESOLVED " + txn + std::string(committed ? " C" : " A") + " 0 " +
           std::to_string(clock_),
-      /*force_flush=*/true, txn));
+      /*force_flush=*/true));
   resolved_outcomes_[txn] = committed;
   return Status::Ok();
 }
 
 Status DurableStore::Checkpoint() {
   if (!open_) return FailedPrecondition("store is not open");
-  // Deferred WAL jobs must land before the epoch switch discards the batch.
-  if (runtime_ != nullptr) runtime_->Drain();
-  if (!wal_job_error_.ok()) return wal_job_error_;
   if (!active_txns_.empty()) {
     return FailedPrecondition(
         "checkpoint requires all transactions resolved");

@@ -19,10 +19,6 @@
 #include "query/eval.h"
 #include "xml/document.h"
 
-namespace axmlx::runtime {
-class JobQueue;
-}  // namespace axmlx::runtime
-
 namespace axmlx::storage {
 
 /// Controls when buffered WAL records are flushed to the log file.
@@ -50,9 +46,9 @@ struct FlushPolicy {
 };
 
 /// Durable document store for an AXML peer: the "D" of the paper's relaxed
-/// ACID framework. Documents live in memory; every operation is recorded in
-/// a write-ahead log *before* it is applied, and `Checkpoint()` persists
-/// full snapshots and truncates the log.
+/// ACID framework. Documents live in memory; every operation that applies
+/// is recorded in a write-ahead log before its transaction resolves, and
+/// `Checkpoint()` persists full snapshots and truncates the log.
 ///
 /// Recovery follows the logical-redo-then-compensate discipline that falls
 /// out of the paper's compensation model (§3.1): on `Open()`, the last
@@ -128,7 +124,9 @@ class DurableStore {
   /// Starts transaction `txn` (journaled).
   Status Begin(const std::string& txn);
 
-  /// Journals then applies `op` against document `doc` under `txn`.
+  /// Applies `op` against document `doc` under `txn`, then journals it. A
+  /// failed operation leaves the document untouched and journals nothing,
+  /// so replay never re-runs it.
   Result<const ops::OpEffect*> Execute(const std::string& txn,
                                        const std::string& doc,
                                        const ops::Operation& op);
@@ -211,22 +209,6 @@ class DurableStore {
   /// rather than duration — see DESIGN.md §7.
   void AttachTimeline(obs::Timeline* timeline) { timeline_ = timeline; }
 
-  /// Routes WAL work through the worker pool (not owned; null detaches):
-  /// each append becomes a kJobWalAppend job and each group-commit flush a
-  /// kJobFlush job, both applied serialized in submission order — WAL bytes
-  /// are identical to the synchronous path. Appends are then deferred until
-  /// the queue drains, which the owning overlay::Network does at every
-  /// event boundary; since crashes are only injected at event boundaries,
-  /// durability guarantees are unchanged (DESIGN.md §11). `peer` labels the
-  /// jobs for the pool's flight recorders. Synchronous entry points
-  /// (FlushWal, Checkpoint, the destructor) drain the pool first; a
-  /// deferred append's I/O error is surfaced, sticky, by the next journaled
-  /// call. Attach only after Open(), and detach before the queue dies.
-  void AttachRuntime(runtime::JobQueue* rt, std::string peer = {}) {
-    runtime_ = rt;
-    runtime_peer_ = std::move(peer);
-  }
-
  private:
   struct TxnState {
     ops::OpLog effects;
@@ -260,19 +242,9 @@ class DurableStore {
   void PublishHotPathCounters();
 
   /// Appends `record` to the WAL batch; flushes per policy. Pass
-  /// `force_flush` for records that resolve a transaction. With a runtime
-  /// attached the work is submitted as a kJobWalAppend job instead; `txn`
-  /// (when the record belongs to one) keys the job's queue-wait timeline
-  /// claim.
-  Status AppendWal(const std::string& record, bool force_flush = false,
-                   const std::string& txn = {});
+  /// `force_flush` for records that resolve a transaction.
+  Status AppendWal(const std::string& record, bool force_flush = false);
 
-  /// The synchronous append body (batch + policy flush decision). Runs
-  /// inline without a runtime, or as the append job's apply stage with one.
-  Status AppendWalNow(const std::string& record, bool force_flush);
-
-  /// FlushWal without the drain barrier: the actual buffered-batch write.
-  Status FlushWalNow();
   Status ReplayWal();
   Status LoadSnapshots();
   Result<const ops::OpEffect*> ApplyOp(const std::string& txn,
@@ -306,11 +278,6 @@ class DurableStore {
   bool open_ = false;
   obs::FlightRecorder* recorder_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
-  runtime::JobQueue* runtime_ = nullptr;
-  std::string runtime_peer_;
-  /// First I/O error hit by a deferred WAL job; surfaced by the next
-  /// journaled call (sticky — the WAL is suspect from that point on).
-  Status wal_job_error_ = Status::Ok();
   uint64_t epoch_ = 0;   ///< Current checkpoint epoch (manifest-committed).
   uint64_t clock_ = 0;   ///< Logical clock: ticks once per applied op.
   CrashPoint crash_point_ = CrashPoint::kNone;

@@ -8,7 +8,6 @@
 #include "axml/materializer.h"
 #include "obs/metric_names.h"
 #include "ops/executor.h"
-#include "runtime/job_queue.h"
 
 namespace axmlx::txn {
 
@@ -228,24 +227,9 @@ void AxmlPeer::Begin(Ctx* ctx, overlay::Network* net) {
     AbortContext(ctx, "UnknownService", /*notify_parent=*/true, net);
     return;
   }
-  // The local service body is the peer's dominant compute cost; run it
-  // under kJobServiceCall accounting when the network carries a worker
-  // pool. RunInline keeps execution here — the invocation mutates the
-  // peer's documents, so it is apply-stage work by nature — but types and
-  // times it like any other job.
-  std::optional<Result<service::InvocationOutcome>> outcome_slot;
-  auto invoke = [&] {
-    outcome_slot.emplace(host_->Invoke(
-        ctx->service, ctx->params,
-        options_.use_locking ? LockIdFor(ctx->txn) : 0));
-  };
-  runtime::JobQueue* rt = net != nullptr ? net->runtime() : nullptr;
-  if (rt != nullptr) {
-    rt->RunInline(runtime::JobType::kJobServiceCall, txn, invoke);
-  } else {
-    invoke();
-  }
-  Result<service::InvocationOutcome>& outcome_or = *outcome_slot;
+  Result<service::InvocationOutcome> outcome_or = host_->Invoke(
+      ctx->service, ctx->params,
+      options_.use_locking ? LockIdFor(ctx->txn) : 0);
   if (!outcome_or.ok()) {
     // This peer failed while processing its service — the paper's AP5
     // failing in S5 (§3.2 step 1): abort the local context and send

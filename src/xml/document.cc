@@ -18,8 +18,8 @@ constexpr const char* kReservedNames[kNumReservedNames] = {
 
 const std::string kEmptyName;
 
-/// Source of Document::identity(); atomic because worker threads may build
-/// fragment documents concurrently.
+/// Source of Document::identity(); atomic so documents may be built on any
+/// thread.
 std::atomic<uint64_t> next_identity{1};
 
 }  // namespace
@@ -694,8 +694,7 @@ Status Document::AssignPreOrderIds(const std::vector<NodeId>& ids,
 }
 
 bool Document::HoldsReservedElement(NodeId id) const {
-  std::vector<NodeId> local_stack;
-  std::vector<NodeId>& stack = concurrent_reads_ ? local_stack : walk_scratch_;
+  std::vector<NodeId>& stack = walk_scratch_;
   stack.clear();
   stack.push_back(id);
   while (!stack.empty()) {
@@ -712,15 +711,6 @@ void Document::CollectElementsNamed(NameId name_id,
                                     std::vector<NodeId>* out) const {
   if (name_id >= name_index_.size()) return;
   std::vector<NodeId>& bucket = name_index_[name_id];
-  if (concurrent_reads_) {
-    // Filter without compacting: stale entries stay until the next
-    // single-threaded lookup sweeps them.
-    for (NodeId id : bucket) {
-      const Node* n = Find(id);
-      if (n != nullptr && n->name_id == name_id) out->push_back(id);
-    }
-    return;
-  }
   // Filter + compact in place: survivors are the live elements still named
   // `name_id`; everything else (destroyed or renamed) is swept.
   size_t w = 0;
@@ -738,8 +728,7 @@ void Document::CollectElementsNamed(NameId name_id,
 size_t Document::SubtreeSize(NodeId id) const {
   if (Find(id) == nullptr) return 0;
   size_t count = 0;
-  std::vector<NodeId> local_stack;
-  std::vector<NodeId>& stack = concurrent_reads_ ? local_stack : walk_scratch_;
+  std::vector<NodeId>& stack = walk_scratch_;
   stack.clear();
   stack.push_back(id);
   while (!stack.empty()) {
@@ -788,8 +777,7 @@ void Document::AppendTextContent(NodeId id, std::string* out) const {
   }
   // Iterative pre-order with a reversed-children stack so text concatenates
   // in document order without per-node callback overhead.
-  std::vector<NodeId> local_stack;
-  std::vector<NodeId>& stack = concurrent_reads_ ? local_stack : walk_scratch_;
+  std::vector<NodeId>& stack = walk_scratch_;
   stack.clear();
   stack.push_back(id);
   while (!stack.empty()) {

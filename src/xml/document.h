@@ -296,22 +296,8 @@ class Document {
 
   /// Appends the ids of all live element nodes whose current name is
   /// `name_id` (attached or detached, in allocation order — NOT document
-  /// order). Stale index entries are swept as a side effect — unless
-  /// concurrent-read mode is on, which filters without compacting.
+  /// order). Stale index entries are swept as a side effect.
   void CollectElementsNamed(NameId name_id, std::vector<NodeId>* out) const;
-
-  /// Concurrent-read mode: while on, the const read paths touch none of the
-  /// document's mutable caches — CollectElementsNamed filters stale index
-  /// entries without sweeping them (and without counting the sweep), and
-  /// the iterative walks use local stacks instead of the shared
-  /// walk-scratch buffer — so any number of threads may read one document
-  /// concurrently, as the worker-pool runtime's work stages do during a
-  /// wave (DESIGN.md §11). Results are identical either way; the flag only
-  /// trades the single-thread allocation reuse for thread safety. Toggling
-  /// is not synchronized: flip it only while no reader is in flight (the
-  /// wave barrier provides that ordering).
-  void SetConcurrentReads(bool on) { concurrent_reads_ = on; }
-  [[nodiscard]] bool concurrent_reads() const { return concurrent_reads_; }
 
   // --- Introspection -------------------------------------------------------
 
@@ -542,13 +528,8 @@ class Document {
 
   // Shared work stack for the iterative internal walks (DestroySubtree,
   // SubtreeSize, AppendTextContent). Those never nest and take no user
-  // callbacks, so one buffer keeps the hot paths allocation-free. Bypassed
-  // (local stacks) while concurrent_reads_ is on.
+  // callbacks, so one buffer keeps the hot paths allocation-free.
   mutable std::vector<NodeId> walk_scratch_;
-
-  // See SetConcurrentReads(). Not guarded: toggled only across the wave
-  // barrier, read by concurrent const readers in between.
-  bool concurrent_reads_ = false;
 };
 
 }  // namespace axmlx::xml

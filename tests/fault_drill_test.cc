@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -257,6 +261,77 @@ TEST(FaultDrillTest, CompensateRedeliveryAfterRestart) {
   (*unseeded)->OnMessage(m, &repo.network());
   EXPECT_EQ(CountItems(*unseeded), 3);
   EXPECT_EQ((*unseeded)->stats().compensations_executed, 1);
+}
+
+/// Every WAL file under `root` (all peers, all crash incarnations), keyed
+/// by its path relative to `root`.
+std::map<std::string, std::string> CollectWals(const std::string& root) {
+  std::map<std::string, std::string> wals;
+  std::error_code ec;
+  for (auto it = std::filesystem::recursive_directory_iterator(root, ec);
+       !ec && it != std::filesystem::recursive_directory_iterator(); ++it) {
+    if (!it->is_regular_file()) continue;
+    const std::string name = it->path().filename().string();
+    if (name.rfind("wal", 0) != 0 || name.find(".log") == std::string::npos) {
+      continue;
+    }
+    std::ifstream in(it->path(), std::ios::binary);
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    wals[std::filesystem::relative(it->path(), root).string()] =
+        contents.str();
+  }
+  return wals;
+}
+
+struct SeededDrill {
+  FaultDrillReport report;
+  std::map<std::string, std::string> wals;
+};
+
+/// Runs the seed-813 crash drill (depth 1, fanout 2, drops, delays, two
+/// crash/recover cycles) in its own directory and collects its WALs.
+SeededDrill RunSeededDrill(const std::string& tag) {
+  FaultDrillOptions options = BaseOptions("seeded_" + tag, 813);
+  options.fanout = 2;
+  options.ops_per_service = 2;
+  options.drop_rate = 0.05;
+  options.delay_max = 3;
+  options.crash_every = 4;
+  FaultDrill drill(options);
+  auto report = drill.Run();
+  EXPECT_TRUE(report.ok()) << report.status();
+  SeededDrill out;
+  if (report.ok()) out.report = *report;
+  out.wals = CollectWals(options.storage_dir);
+  std::error_code ec;
+  std::filesystem::remove_all(options.storage_dir, ec);
+  return out;
+}
+
+// Same seed, same run: the drill is the oracle behind byte-identical WAL
+// replay, so two runs must agree on every decision and on every byte every
+// peer journaled, across every crash incarnation.
+TEST(FaultDrillTest, SameSeedWritesIdenticalWals) {
+  SeededDrill first = RunSeededDrill("a");
+  SeededDrill second = RunSeededDrill("b");
+  EXPECT_EQ(first.report.violations, 0)
+      << JoinDetails(first.report.violation_details);
+  EXPECT_EQ(second.report.violations, 0)
+      << JoinDetails(second.report.violation_details);
+  EXPECT_EQ(first.report.crashes, 2);
+  EXPECT_GT(first.report.committed, 0);
+  EXPECT_EQ(second.report.committed, first.report.committed);
+  EXPECT_EQ(second.report.aborted, first.report.aborted);
+  EXPECT_EQ(second.report.undecided, first.report.undecided);
+  EXPECT_EQ(second.report.wal_replayed_ops, first.report.wal_replayed_ops);
+  ASSERT_FALSE(first.wals.empty());
+  ASSERT_EQ(second.wals.size(), first.wals.size());
+  for (const auto& [path, bytes] : first.wals) {
+    auto it = second.wals.find(path);
+    ASSERT_NE(it, second.wals.end()) << "missing " << path;
+    EXPECT_EQ(it->second, bytes) << "diverged in " << path;
+  }
 }
 
 }  // namespace

@@ -38,6 +38,30 @@ class StorageTest : public ::testing::Test {
     return store;
   }
 
+  // A failed operation must leave no OP record: replay would run it again,
+  // fail, and the store would never open. `bad` fails; the transaction then
+  // aborts, and the reopened store must match the pre-transaction document.
+  void ExpectFailedOpLeavesNoRecord(const ops::Operation& bad,
+                                    StatusCode expected) {
+    std::string before;
+    {
+      auto store = OpenStore();
+      ASSERT_TRUE(store->CreateDocument(testing::kAtpListXml).ok());
+      before = store->Get("ATPList")->Serialize();
+      ASSERT_TRUE(store->Begin("T1").ok());
+      auto failed = store->Execute("T1", "ATPList", bad);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), expected) << failed.status();
+      Status aborted = store->Abort("T1");
+      ASSERT_TRUE(aborted.ok()) << aborted;
+      EXPECT_EQ(store->Get("ATPList")->Serialize(), before);
+    }
+    auto reopened = OpenStore();
+    ASSERT_NE(reopened->Get("ATPList"), nullptr);
+    EXPECT_EQ(reopened->stats().replayed_ops, 0);
+    EXPECT_EQ(reopened->Get("ATPList")->Serialize(), before);
+  }
+
   std::string dir_;
 };
 
@@ -114,6 +138,17 @@ TEST_F(StorageTest, DurableAbortStaysRolledBackAfterRestart) {
   auto reopened = OpenStore();
   EXPECT_EQ(reopened->stats().recovered_txns, 0);  // abort was durable
   EXPECT_EQ(reopened->Get("ATPList")->Serialize(), before);
+}
+
+TEST_F(StorageTest, MalformedPayloadLeavesNoWalRecord) {
+  ExpectFailedOpLeavesNoRecord(
+      ops::MakeInsert("Select d from d in ATPList", "<a>"),
+      StatusCode::kParseError);
+}
+
+TEST_F(StorageTest, UnknownTargetLeavesNoWalRecord) {
+  ExpectFailedOpLeavesNoRecord(ops::MakeDeleteById(999999),
+                               StatusCode::kNotFound);
 }
 
 TEST_F(StorageTest, CheckpointTruncatesWalAndPreservesState) {

@@ -1090,9 +1090,9 @@ void CheckFindMutableOutsideDocument(const std::vector<File>& files,
 
 // ---------------------------------------------------------------------------
 // R7: determinism — no wall clocks, no unseeded randomness, no hash-order
-// iteration. Seeded interleavings are the differential oracle for the
-// parallel runtime; anything nondeterministic on a protocol, serialization,
-// or WAL path silently breaks replay.
+// iteration. Same-seed runs are the differential oracle (byte-identical WAL
+// replay, repeatable drills); anything nondeterministic on a protocol,
+// serialization, or WAL path silently breaks replay.
 // ---------------------------------------------------------------------------
 
 void CheckDeterminism(const std::vector<File>& files, const Facts& facts,
@@ -1221,7 +1221,8 @@ void CheckWalGrammar(const Facts& facts, std::vector<Finding>* findings) {
 
 // ---------------------------------------------------------------------------
 // R9: thread-safety annotations on shared mutable state. Only the layers
-// the worker-pool runtime will share across threads are in scope.
+// whose objects are long-lived and shared (obs, storage, compensation) are
+// in scope; the rule covers any mutex added there.
 // ---------------------------------------------------------------------------
 
 bool IsMutexTypeName(const std::string& t) {
@@ -1347,7 +1348,7 @@ void CheckTypeBodyAnnotations(const File& f, size_t open, size_t end,
            "member `" + toks[name_tok].text + "` of " + cname +
                " shares the class with a mutex but carries no "
                "AXMLX_GUARDED_BY(...) annotation "
-               "(common/thread_annotations.h); the worker-pool runtime "
+               "(common/thread_annotations.h); clang -Wthread-safety "
                "cannot prove its lock discipline");
   }
 }
@@ -1453,8 +1454,8 @@ void CheckNameRegistry(const std::vector<File>& files, const Facts& facts,
     }
     // Any txn.latency.* / runtime.* / job.* literal — even away from a
     // Get* site (report filters, bench extractors) — must name a registered
-    // series: the phase accounting, the worker-pool gauges/histograms,
-    // AxmlStats, and axmlx_report tables all join on them.
+    // series: the phase accounting, AxmlStats, and axmlx_report tables all
+    // join on them.
     for (const Token& tok : f.toks) {
       if (tok.kind != Token::Kind::kString) continue;
       const bool latency_family = StartsWith(tok.text, "txn.latency.");

@@ -68,11 +68,11 @@
 ///      randomness (rand, srand, *rand48, std::random_device), and no
 ///      iteration over unordered containers (range-for or .begin() on any
 ///      name pass 1 saw declared as std::unordered_map/set) in the scanned
-///      tree: seeded interleavings are the differential oracle for the
-///      parallel runtime, and hash-order iteration feeding a protocol,
-///      serialization, or WAL path silently breaks replay. Use sim time and
-///      common/rng.h; order-insensitive folds over unordered state carry
-///      lint:allow(R7).
+///      tree: same-seed runs are the differential oracle (byte-identical
+///      WAL replay, repeatable drills), and hash-order iteration feeding a
+///      protocol, serialization, or WAL path silently breaks replay. Use
+///      sim time and common/rng.h; order-insensitive folds over unordered
+///      state carry lint:allow(R7).
 ///  R8  WAL grammar completeness: every record tag appended to the WAL
 ///      (string literal starting an AppendWal record) has a parse arm in
 ///      ReplayWal (a `kind == "TAG"` comparison), and every arm parses a
@@ -80,8 +80,8 @@
 ///      recovery as "unknown WAL record"; a replayed-but-never-written tag
 ///      is a dead grammar arm hiding a renamed writer.
 ///  R9  thread-safety annotations: in obs/, storage/, and compensation/ —
-///      the layers the worker-pool runtime will share across threads — any
-///      class declaring a std::mutex/shared_mutex member must annotate
+///      the layers whose long-lived objects a threaded caller would share —
+///      any class declaring a std::mutex/shared_mutex member must annotate
 ///      every other data member with AXMLX_GUARDED_BY(...) (macros in
 ///      common/thread_annotations.h, enforced by clang -Wthread-safety
 ///      under AXMLX_WERROR). std::atomic and const members are exempt.

@@ -328,13 +328,11 @@ std::string CheckBenchJson(const std::string& json_text) {
   if (ops == nullptr || !ops->is_number() || ops->number < 0) {
     return "missing non-negative number \"ops_per_sec\"";
   }
-  // Optional per-clock rates (reports written before the wall/sim split
-  // omit them); when present they must be well-formed.
-  for (const char* field : {"wall_ops_per_sec", "sim_ops_per_sec"}) {
-    const obs::JsonValue* rate = doc->Find(field);
-    if (rate != nullptr && (!rate->is_number() || rate->number < 0)) {
-      return std::string("\"") + field + "\" is not a non-negative number";
-    }
+  // Optional wall-clock rate (older reports omit it); when present it must
+  // be well-formed.
+  const obs::JsonValue* wall = doc->Find("wall_ops_per_sec");
+  if (wall != nullptr && (!wall->is_number() || wall->number < 0)) {
+    return "\"wall_ops_per_sec\" is not a non-negative number";
   }
   const obs::JsonValue* counters = doc->Find("counters");
   if (counters == nullptr || !counters->is_object()) {
@@ -398,15 +396,13 @@ std::string DiffBenchJson(const std::string& old_json,
   const double new_ops = new_doc->Find("ops_per_sec")->number;
   os << "  ops/sec: " << FmtDouble(old_ops) << " -> " << FmtDouble(new_ops)
      << " (" << FmtDeltaPct(old_ops, new_ops) << ")\n";
-  // Per-clock rates, when both sides carry them (older reports predate the
-  // wall/sim split).
-  for (const char* field : {"wall_ops_per_sec", "sim_ops_per_sec"}) {
-    const obs::JsonValue* old_rate = old_doc->Find(field);
-    const obs::JsonValue* new_rate = new_doc->Find(field);
-    if (old_rate == nullptr || new_rate == nullptr) continue;
-    os << "  " << field << ": " << FmtDouble(old_rate->number) << " -> "
-       << FmtDouble(new_rate->number) << " ("
-       << FmtDeltaPct(old_rate->number, new_rate->number) << ")\n";
+  // Wall-clock rate, when both sides carry it (older reports omit it).
+  const obs::JsonValue* old_wall = old_doc->Find("wall_ops_per_sec");
+  const obs::JsonValue* new_wall = new_doc->Find("wall_ops_per_sec");
+  if (old_wall != nullptr && new_wall != nullptr) {
+    os << "  wall_ops_per_sec: " << FmtDouble(old_wall->number) << " -> "
+       << FmtDouble(new_wall->number) << " ("
+       << FmtDeltaPct(old_wall->number, new_wall->number) << ")\n";
   }
 
   const obs::JsonValue* old_hists = old_doc->Find("histograms");

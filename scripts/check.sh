@@ -2,9 +2,10 @@
 # CI gate for axmlx: warnings-as-errors build, full test suite, project
 # linter (plus a machine-readable `axmlx_lint --json` artifact), a perf
 # smoke stage (which includes the bench_obs_overhead flight-recorder budget
-# gate), an end-to-end forensics render, and the fault-injection,
-# call-catalog, payload and MVCC suites under ASan/UBSan. Exits non-zero on
-# the first failure. See DESIGN.md §6b.
+# gate), an end-to-end forensics render, the end-to-end benchmark's
+# deterministic counts against bench/baselines/e2e/deterministic.txt, and the
+# fault-injection, call-catalog, payload and MVCC suites under ASan/UBSan.
+# Exits non-zero on the first failure. See DESIGN.md §6b.
 #
 # The perf smoke stage runs the hot-path benches with --smoke and diffs
 # their reports against the committed smoke baselines in
@@ -103,6 +104,26 @@ fi
 "$BUILD_ABS/tools/axmlx_report" --trace "$FORENSICS_DIR/trace.json" \
   "${dumps[0]}"
 "$BUILD_ABS/tools/axmlx_report" --check "$FORENSICS_DIR/trace.json"
+
+step "e2e deterministic counts (--txns 40 vs bench/baselines/e2e)"
+# Same-seed runs of the end-to-end benchmark print one `deterministic` line
+# per workload: decisions, messages and WAL bytes per transaction, median
+# simulated ticks and the input fingerprint. A change that means to move
+# them updates the baseline file and says why in CHANGES.md. run.py builds
+# the benchmark on first use (into .bench_build/, or $CARGO_TARGET_DIR).
+E2E_LINES="$BUILD_DIR/e2e-deterministic.txt"
+: > "$E2E_LINES"
+for workload in commit-small commit-large chaos-recover; do
+  out="$(python3 e2e_bench/run.py --workload "$workload" --seed 7 \
+    --seconds 60 --txns 40)"
+  line="$(printf '%s\n' "$out" | grep '^deterministic ' || true)"
+  if [ -z "$line" ]; then
+    echo "FAIL: e2e_bench $workload printed no deterministic line" >&2
+    exit 1
+  fi
+  echo "$workload $line" >> "$E2E_LINES"
+done
+diff -u bench/baselines/e2e/deterministic.txt "$E2E_LINES"
 
 step "sanitizer build (-DAXMLX_SANITIZE=ON) + fault-labeled suites"
 SAN_DIR="$BUILD_DIR-asan"

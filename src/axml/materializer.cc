@@ -172,6 +172,12 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
   //     source node (the predicate must be evaluable);
   //  2. calls whose outputs the select paths read, under the *bindings that
   //     survived the predicate* only.
+  // A document with no `axml:sc` element has nothing to materialize: it
+  // needs no name sets, no sources and no catalog.
+  if (!doc_->HasIndexEntries(xml::kNameAxmlSc)) {
+    if (ctx_ != nullptr && !ctx_->view.active) ctx_->InvalidateCaches();
+    return std::vector<xml::NodeId>{};
+  }
   std::vector<std::string> where_names;
   if (q.where != nullptr) {
     // MentionedNames covers selects + where; recompute just the where part

@@ -1,48 +1,66 @@
 #include "chain/active_chain.h"
 
-#include <cctype>
-#include <sstream>
+#include <string_view>
+#include <utility>
 
 namespace axmlx::chain {
 
 namespace {
 
-void SerializeNode(const ChainNode& node, std::ostringstream* os) {
-  *os << "[" << node.peer;
-  if (node.super) *os << "*";
-  if (!node.service.empty()) *os << ":" << node.service;
-  if (!node.children.empty()) {
-    *os << " -> ";
-    for (size_t i = 0; i < node.children.size(); ++i) {
-      if (i > 0) *os << " || ";
-      SerializeNode(node.children[i], os);
-    }
+void AppendNode(const ChainNode& node, std::string* out) {
+  out->push_back('[');
+  out->append(node.peer);
+  if (node.super) out->push_back('*');
+  if (!node.service.empty()) {
+    out->push_back(':');
+    out->append(node.service);
   }
-  *os << "]";
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    out->append(i == 0 ? " -> " : " || ");
+    AppendNode(node.children[i], out);
+  }
+  out->push_back(']');
 }
 
-class ChainParser {
+/// One pass over the bracket syntax. It checks the text, follows it with
+/// the canonical spelling (AppendNode's), and with a non-null `tree` also
+/// builds the tree. The canonical spelling is copied out only from the
+/// first byte where it differs from the input, so canonical input costs no
+/// copy here.
+class ChainReader {
  public:
-  explicit ChainParser(const std::string& text) : text_(text) {}
+  explicit ChainReader(std::string_view text) : text_(text) {}
 
-  Result<ChainNode> Run() {
-    AXMLX_ASSIGN_OR_RETURN(ChainNode root, ParseNode());
+  Status Run(ChainNode* tree) {
+    AXMLX_RETURN_IF_ERROR(ReadNode(tree));
     SkipSpace();
     if (pos_ != text_.size()) {
       return ParseError("chain: trailing characters");
     }
-    return root;
+    return Status::Ok();
+  }
+
+  /// The canonical spelling of the text Run accepted.
+  std::string Canonical() {
+    return rewritten_ ? std::move(out_) : std::string(text_.substr(0, kept_));
   }
 
  private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+  // The "C" locale's isspace and isalnum, spelled out so the per-byte
+  // tests inline.
+  static bool IsSpace(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+  static bool IsLabelChar(char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '_';
   }
 
-  bool Consume(const std::string& token) {
+  void SkipSpace() {
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+  }
+
+  bool Consume(std::string_view token) {
     SkipSpace();
     if (text_.compare(pos_, token.size(), token) == 0) {
       pos_ += token.size();
@@ -51,50 +69,80 @@ class ChainParser {
     return false;
   }
 
-  Result<ChainNode> ParseNode() {
-    if (!Consume("[")) return ParseError("chain: expected '['");
-    SkipSpace();
-    ChainNode node;
-    size_t start = pos_;
-    // '-' is allowed in ids but "->" is the child separator.
+  /// Appends `token` to the canonical spelling. While that spelling is a
+  /// prefix of the input it is tracked as a length only.
+  void Emit(std::string_view token) {
+    if (!rewritten_) {
+      if (text_.compare(kept_, token.size(), token) == 0) {
+        kept_ += token.size();
+        return;
+      }
+      rewritten_ = true;
+      out_.assign(text_.substr(0, kept_));
+    }
+    out_.append(token);
+  }
+
+  /// An id or label: letters, digits, '_' and '-', except the '-' of the
+  /// "->" child separator.
+  std::string_view ReadLabel() {
+    const size_t start = pos_;
     while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_' ||
+           (IsLabelChar(text_[pos_]) ||
             (text_[pos_] == '-' &&
              (pos_ + 1 >= text_.size() || text_[pos_ + 1] != '>')))) {
       ++pos_;
     }
-    node.peer = text_.substr(start, pos_ - start);
-    if (node.peer.empty()) return ParseError("chain: expected a peer id");
-    if (pos_ < text_.size() && text_[pos_] == '*') {
-      node.super = true;
+    return text_.substr(start, pos_ - start);
+  }
+
+  Status ReadNode(ChainNode* node) {
+    if (!Consume("[")) return ParseError("chain: expected '['");
+    Emit("[");
+    SkipSpace();
+    const std::string_view peer = ReadLabel();
+    if (peer.empty()) return ParseError("chain: expected a peer id");
+    Emit(peer);
+    const bool super = pos_ < text_.size() && text_[pos_] == '*';
+    if (super) {
       ++pos_;
+      Emit("*");
     }
+    std::string_view service;
     if (pos_ < text_.size() && text_[pos_] == ':') {
       ++pos_;
-      size_t sstart = pos_;
-      while (pos_ < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '_' ||
-              (text_[pos_] == '-' &&
-               (pos_ + 1 >= text_.size() || text_[pos_ + 1] != '>')))) {
-        ++pos_;
+      service = ReadLabel();
+      if (!service.empty()) {
+        Emit(":");
+        Emit(service);
       }
-      node.service = text_.substr(sstart, pos_ - sstart);
+    }
+    if (node != nullptr) {
+      node->peer.assign(peer);
+      node->super = super;
+      node->service.assign(service);
     }
     if (Consume("->")) {
+      Emit(" -> ");
       while (true) {
-        AXMLX_ASSIGN_OR_RETURN(ChainNode child, ParseNode());
-        node.children.push_back(std::move(child));
+        ChainNode* child = nullptr;
+        if (node != nullptr) child = &node->children.emplace_back();
+        AXMLX_RETURN_IF_ERROR(ReadNode(child));
         if (!Consume("||")) break;
+        Emit(" || ");
       }
     }
     if (!Consume("]")) return ParseError("chain: expected ']'");
-    return node;
+    Emit("]");
+    return Status::Ok();
   }
 
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
+  size_t kept_ = 0;  ///< Length of the canonical spelling while it is a
+                     ///< prefix of the input.
+  bool rewritten_ = false;
+  std::string out_;  ///< The canonical spelling once it is not.
 };
 
 const ChainNode* FindRec(const ChainNode& node, const overlay::PeerId& peer) {
@@ -129,29 +177,41 @@ bool AllSuperRec(const ChainNode& node) {
 
 }  // namespace
 
-std::string ActivePeerChain::Serialize() const {
-  if (empty()) return "[]";
-  std::ostringstream os;
-  SerializeNode(root_, &os);
-  return os.str();
+ActivePeerChain::ActivePeerChain(ChainNode root) {
+  if (root.peer.empty()) return;
+  text_.clear();
+  AppendNode(root, &text_);
+  tree_ = std::move(root);
 }
 
 Result<ActivePeerChain> ActivePeerChain::Parse(const std::string& text) {
-  if (text == "[]" || text.empty()) return ActivePeerChain();
-  ChainParser parser(text);
-  AXMLX_ASSIGN_OR_RETURN(ChainNode root, parser.Run());
-  return ActivePeerChain(std::move(root));
+  ActivePeerChain chain;
+  if (text == "[]" || text.empty()) return chain;
+  ChainReader reader(text);
+  AXMLX_RETURN_IF_ERROR(reader.Run(/*tree=*/nullptr));
+  chain.text_ = reader.Canonical();
+  return chain;
+}
+
+const ChainNode& ActivePeerChain::Tree() const {
+  if (!tree_.has_value()) {
+    // The text was accepted when it was kept, so reading it again builds
+    // the whole tree.
+    Status built = ChainReader(text_).Run(&tree_.emplace());
+    (void)built;
+  }
+  return *tree_;
 }
 
 const ChainNode* ActivePeerChain::Find(const overlay::PeerId& peer) const {
   if (empty()) return nullptr;
-  return FindRec(root_, peer);
+  return FindRec(Tree(), peer);
 }
 
 const ChainNode* ActivePeerChain::FindParent(
     const overlay::PeerId& peer) const {
   if (empty()) return nullptr;
-  return FindParentRec(root_, peer);
+  return FindParentRec(Tree(), peer);
 }
 
 bool ActivePeerChain::Contains(const overlay::PeerId& peer) const {
@@ -211,7 +271,7 @@ overlay::PeerId ActivePeerChain::NearestSuperPeer(
 
 std::vector<overlay::PeerId> ActivePeerChain::AllPeers() const {
   std::vector<overlay::PeerId> out;
-  if (!empty()) CollectRec(root_, &out);
+  if (!empty()) CollectRec(Tree(), &out);
   return out;
 }
 
@@ -225,7 +285,7 @@ std::vector<overlay::PeerId> ActivePeerChain::SubtreeOf(
 
 bool ActivePeerChain::AtomicityGuaranteed() const {
   if (empty()) return false;
-  return AllSuperRec(root_);
+  return AllSuperRec(Tree());
 }
 
 std::vector<overlay::PeerId> ActivePeerChain::RelativesByDistance(

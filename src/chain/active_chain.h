@@ -1,6 +1,7 @@
 #ifndef AXMLX_CHAIN_ACTIVE_CHAIN_H_
 #define AXMLX_CHAIN_ACTIVE_CHAIN_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,20 +24,29 @@ struct ChainNode {
   std::vector<ChainNode> children;
 };
 
+/// The chain is kept as its canonical wire text (DESIGN.md §3): a hop that
+/// only passes the chain on forwards the text it received, byte for byte,
+/// and never builds the tree. The ChainNode tree is built from the text on
+/// the first topology query, which only the chaining and disconnection
+/// paths make.
 class ActivePeerChain {
  public:
   ActivePeerChain() = default;
-  explicit ActivePeerChain(ChainNode root) : root_(std::move(root)) {}
+  /// Writes the wire text of `root` once; `root` answers the queries. A
+  /// root without a peer id is the empty chain.
+  explicit ActivePeerChain(ChainNode root);
 
-  const ChainNode& root() const { return root_; }
-  bool empty() const { return root_.peer.empty(); }
+  bool empty() const { return text_ == "[]"; }
 
-  /// Serializes to the paper's bracket syntax, e.g.
-  /// "[AP1* -> [AP2 -> [[AP3 -> [AP6]] || [AP4 -> [AP5]]]]]". Children are
-  /// always bracketed; `*` marks super peers.
-  std::string Serialize() const;
+  /// The chain in the paper's bracket syntax, e.g.
+  /// "[AP1* -> [AP2 -> [[AP3 -> [AP6]] || [AP4 -> [AP5]]]]]": children are
+  /// always bracketed, `*` marks super peers, "[]" is the empty chain.
+  const std::string& Serialize() const { return text_; }
 
-  /// Parses the Serialize() syntax.
+  /// Parses the Serialize() syntax in one pass that builds no tree. Text
+  /// already in canonical form is kept as it is; any other accepted
+  /// spelling (extra or missing spaces, an empty ":" label) is kept as
+  /// Serialize would write its tree. "" and "[]" are the empty chain.
   static Result<ActivePeerChain> Parse(const std::string& text);
 
   // --- Topology queries (all return empty/kNullId when `peer` is absent) --
@@ -80,10 +90,13 @@ class ActivePeerChain {
       const overlay::PeerId& peer) const;
 
  private:
+  /// The tree of a non-empty chain, built from `text_` on first use.
+  const ChainNode& Tree() const;
   const ChainNode* Find(const overlay::PeerId& peer) const;
   const ChainNode* FindParent(const overlay::PeerId& peer) const;
 
-  ChainNode root_;
+  std::string text_ = "[]";
+  mutable std::optional<ChainNode> tree_;
 };
 
 }  // namespace axmlx::chain

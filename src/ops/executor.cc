@@ -85,7 +85,7 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
 Status Executor::InsertData(std::string_view payload, xml::NodeId parent,
                             bool has_index, size_t index, OpEffect* effect) {
   AXMLX_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
-                         xml::ParseInto(doc_, payload));
+                         xml::ParseCheckedInto(doc_, payload));
   for (size_t i = 0; i < nodes.size(); ++i) {
     const xml::NodeId node = nodes[i];
     Status linked = has_index ? doc_->InsertAt(parent, index + i, node)

@@ -252,9 +252,11 @@ Result<int64_t> Network::Send(Message message) {
     }
     return id;
   }
-  bool first = true;
-  for (const FaultPlan::Delivery& d : deliveries) {
-    Message copy = message;
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    const FaultPlan::Delivery& d = deliveries[i];
+    // The last delivery takes the message itself; earlier ones copy it.
+    Message copy =
+        i + 1 == deliveries.size() ? std::move(message) : message;
     if (!d.redirect_to.empty()) {
       ++counters_.faults_injected;
       TraceEventf(copy.from, kEvFaultMisroute,
@@ -267,7 +269,7 @@ Result<int64_t> Network::Send(Message message) {
       }
       copy.to = d.redirect_to;
     }
-    if (!first) {
+    if (i > 0) {
       ++counters_.faults_injected;
       TraceEventf(copy.from, kEvFaultDup,
                   copy.type + " to " + copy.to + " duplicated");
@@ -279,7 +281,6 @@ Result<int64_t> Network::Send(Message message) {
     }
     if (d.extra_delay > 0) ++counters_.faults_injected;
     EnqueueDelivery(std::move(copy), d.extra_delay);
-    first = false;
   }
   return id;
 }

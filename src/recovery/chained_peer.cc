@@ -42,9 +42,7 @@ void ChainedPeer::OnParentUnreachable(Ctx* ctx, overlay::Network* net) {
   auto payload = std::make_shared<txn::ResultPayload>();
   payload->service = ctx->service;
   payload->executed_by = id();
-  if (ctx->local.result_fragment != nullptr) {
-    payload->fragment_xml = ctx->local.result_fragment->Serialize();
-  }
+  payload->fragment_xml = ctx->local.result_xml;
   payload->participants = ctx->participants;
   payload->plans = ctx->plans;
   payload->subtree_nodes_affected = ctx->subtree_nodes_affected;

@@ -79,16 +79,122 @@ std::string SubstituteParams(
   return out;
 }
 
+/// Collects an invocation's result nodes: as the RESULT text a remote
+/// invoker receives, or as the fragment Document a local materialization
+/// reads.
+class ServiceHost::ResultSink {
+ public:
+  /// Text mode: `*text` becomes the RESULT body once Finish runs.
+  explicit ResultSink(std::string* text) : text_(text) {}
+  /// Fragment mode.
+  ResultSink() = default;
+
+  /// A native service's response: its fragment's root children are the
+  /// result nodes. Fragment mode keeps the fragment as it is.
+  Status AddResponse(axml::ServiceResponse response) {
+    if (text_ == nullptr) {
+      fragment_ = std::move(response.fragment);
+      return Status::Ok();
+    }
+    if (response.fragment == nullptr) return Status::Ok();
+    const xml::Document& frag = *response.fragment;
+    for (xml::NodeId c : frag.Find(frag.root())->children) {
+      AXMLX_RETURN_IF_ERROR(AddCopy(frag, c));
+    }
+    return Status::Ok();
+  }
+
+  /// A copy of the subtree at `id` of `doc`.
+  Status AddCopy(const xml::Document& doc, xml::NodeId id) {
+    if (text_ != nullptr) {
+      if (doc.Find(id) == nullptr) {
+        return NotFound("result: unknown source node");
+      }
+      Open();
+      doc.SerializeTo(id, text_);
+      return Status::Ok();
+    }
+    xml::Document* frag = Fragment();
+    AXMLX_ASSIGN_OR_RETURN(xml::NodeId copy, frag->ImportSubtree(doc, id));
+    return frag->AppendChild(frag->root(), copy);
+  }
+
+  /// The `<inserted id="…"/>` acknowledgement of an inserted node.
+  Status AddInserted(xml::NodeId id) {
+    if (text_ != nullptr) {
+      Open();
+      text_->append("<inserted id=\"")
+          .append(std::to_string(id))
+          .append("\"/>");
+      return Status::Ok();
+    }
+    xml::Document* frag = Fragment();
+    const xml::NodeId ack = xml::AddElement(frag, frag->root(), "inserted");
+    return frag->SetAttribute(ack, "id", std::to_string(id));
+  }
+
+  /// Closes the RESULT text: `<result/>` when nothing was added.
+  void Finish() {
+    if (text_ != nullptr) text_->append(open_ ? "</result>" : "<result/>");
+  }
+
+  /// The fragment (fragment mode): an empty `<result/>` when nothing was
+  /// added, so a replace-mode call still drops its old results.
+  std::unique_ptr<xml::Document> TakeFragment() {
+    Fragment();
+    return std::move(fragment_);
+  }
+
+ private:
+  void Open() {
+    if (!open_) text_->append("<result>");
+    open_ = true;
+  }
+
+  xml::Document* Fragment() {
+    if (fragment_ == nullptr) {
+      fragment_ = std::make_unique<xml::Document>("result");
+    }
+    return fragment_.get();
+  }
+
+  std::string* text_ = nullptr;
+  bool open_ = false;
+  std::unique_ptr<xml::Document> fragment_;
+};
+
 Result<InvocationOutcome> ServiceHost::Invoke(
     const std::string& name,
     const std::vector<std::pair<std::string, std::string>>& params,
     int64_t lock_id) {
+  std::string text;
+  ResultSink sink(&text);
+  AXMLX_ASSIGN_OR_RETURN(InvocationOutcome outcome,
+                         Run(name, params, lock_id, &sink));
+  sink.Finish();
+  outcome.result_xml = std::move(text);
+  return outcome;
+}
+
+Result<axml::ServiceResponse> ServiceHost::InvokeLocal(
+    const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& params) {
+  ResultSink sink;
+  AXMLX_RETURN_IF_ERROR(Run(name, params, /*lock_id=*/0, &sink).status());
+  axml::ServiceResponse response;
+  response.fragment = sink.TakeFragment();
+  return response;
+}
+
+Result<InvocationOutcome> ServiceHost::Run(
+    const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& params,
+    int64_t lock_id, ResultSink* sink) {
   const ServiceDefinition* service = repo_->FindService(name);
   if (service == nullptr) {
     return NotFound("peer does not host a service named " + name);
   }
   InvocationOutcome outcome;
-  outcome.result_fragment = std::make_unique<xml::Document>("result");
 
   if (service->native) {
     axml::ServiceRequest request;
@@ -96,17 +202,7 @@ Result<InvocationOutcome> ServiceHost::Invoke(
     request.params = params;
     AXMLX_ASSIGN_OR_RETURN(axml::ServiceResponse response,
                            service->native(request));
-    if (response.fragment != nullptr) {
-      const xml::Node* frag_root =
-          response.fragment->Find(response.fragment->root());
-      for (xml::NodeId c : frag_root->children) {
-        AXMLX_ASSIGN_OR_RETURN(
-            xml::NodeId copy,
-            outcome.result_fragment->ImportSubtree(*response.fragment, c));
-        AXMLX_RETURN_IF_ERROR(outcome.result_fragment->AppendChild(
-            outcome.result_fragment->root(), copy));
-      }
-    }
+    AXMLX_RETURN_IF_ERROR(sink->AddResponse(std::move(response)));
     return outcome;
   }
 
@@ -160,21 +256,15 @@ Result<InvocationOutcome> ServiceHost::Invoke(
       return effect_or.status();
     }
     ops::OpEffect effect = std::move(effect_or).value();
-    // Copy query results / inserted nodes into the result fragment.
+    // Query results are copies of the selected nodes; updates acknowledge
+    // each inserted node.
     if (op.type == ops::ActionType::kQuery) {
       for (xml::NodeId id : effect.query_result.AllSelected()) {
-        AXMLX_ASSIGN_OR_RETURN(xml::NodeId copy,
-                               outcome.result_fragment->ImportSubtree(*doc, id));
-        AXMLX_RETURN_IF_ERROR(outcome.result_fragment->AppendChild(
-            outcome.result_fragment->root(), copy));
+        AXMLX_RETURN_IF_ERROR(sink->AddCopy(*doc, id));
       }
     } else {
       for (xml::NodeId id : effect.inserted) {
-        xml::NodeId ack = xml::AddElement(outcome.result_fragment.get(),
-                                          outcome.result_fragment->root(),
-                                          "inserted");
-        AXMLX_RETURN_IF_ERROR(outcome.result_fragment->SetAttribute(
-            ack, "id", std::to_string(id)));
+        AXMLX_RETURN_IF_ERROR(sink->AddInserted(id));
       }
     }
     outcome.effects.Append(std::move(effect));

@@ -79,9 +79,13 @@ struct ServiceDefinition {
 
 /// Result of executing a service locally on its hosting peer.
 struct InvocationOutcome {
-  /// Result fragment returned to the invoker (children of the root are the
-  /// result nodes; query services return copies of selected nodes).
-  std::unique_ptr<xml::Document> result_fragment;
+  /// The RESULT body returned to the invoker, written as text: a
+  /// `<result>` element whose children are the result nodes (query
+  /// services return copies of the selected nodes, updates an
+  /// `<inserted id="…"/>` per inserted node), `<result/>` when there are
+  /// none. Byte for byte what serializing a `result` Document holding
+  /// those nodes would give.
+  std::string result_xml;
 
   /// The dynamically constructed compensating-service definition, returned
   /// "along with the invocation results" for peer-independent compensation
@@ -167,19 +171,35 @@ class ServiceHost {
   void EnableLocking(baseline::PathLockManager* locks) { locks_ = locks; }
 
   /// Executes service `name` with `params`. On success the outcome carries
-  /// results plus the compensating-service definition. Service faults are
-  /// returned as kServiceFault ("<fault_name>: ..."). `lock_id` != 0 runs
-  /// the operations under path locks when locking is enabled.
+  /// the RESULT text plus the compensating-service definition. Service
+  /// faults are returned as kServiceFault ("<fault_name>: ..."). `lock_id`
+  /// != 0 runs the operations under path locks when locking is enabled.
   Result<InvocationOutcome> Invoke(
       const std::string& name,
       const std::vector<std::pair<std::string, std::string>>& params,
       int64_t lock_id = 0);
+
+  /// Executes service `name` for an embedded call materialized on this
+  /// host's peer: the response carries the result nodes as a fragment
+  /// Document (a native service's own response fragment as it returned
+  /// it) rather than as text. Faults as Invoke.
+  Result<axml::ServiceResponse> InvokeLocal(
+      const std::string& name,
+      const std::vector<std::pair<std::string, std::string>>& params);
 
   /// The host's evaluation context, for other executors that work on its
   /// repository's documents outside Invoke (the peer's compensation runs).
   query::EvalContext* eval_context() { return &eval_ctx_; }
 
  private:
+  class ResultSink;
+
+  /// Invoke, with the result nodes going to `sink`.
+  Result<InvocationOutcome> Run(
+      const std::string& name,
+      const std::vector<std::pair<std::string, std::string>>& params,
+      int64_t lock_id, ResultSink* sink);
+
   Repository* repo_;
   axml::ServiceInvoker downstream_;
   Rng* rng_;

@@ -265,6 +265,9 @@ Status DurableStore::Open() {
     active_txns_.erase(txn);
     ++stats_.recovered_txns;
   }
+  // Loading and replay allocate nodes outside any transaction: publish them
+  // now, so they are not counted with the first one that follows.
+  PublishHotPathCounters();
   return Status::Ok();
 }
 
@@ -445,6 +448,7 @@ Status DurableStore::CreateDocument(const std::string& xml_text) {
   // document with the ids it has here.
   AXMLX_RETURN_IF_ERROR(AppendWal("NEWDOC " + EncodeWalPayload(xml_text)));
   documents_[name] = std::move(doc);
+  PublishHotPathCounters();
   return Status::Ok();
 }
 

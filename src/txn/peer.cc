@@ -126,11 +126,7 @@ axml::ServiceInvoker AxmlPeer::MakeLocalInvoker() {
       return ServiceFault("UnknownService: " + request.method_name);
     }
     service::ServiceHost host(target_repo, nullptr, &rng_);
-    AXMLX_ASSIGN_OR_RETURN(service::InvocationOutcome outcome,
-                           host.Invoke(request.method_name, request.params));
-    axml::ServiceResponse response;
-    response.fragment = std::move(outcome.result_fragment);
-    return response;
+    return host.InvokeLocal(request.method_name, request.params);
   };
 }
 
@@ -882,9 +878,7 @@ void AxmlPeer::SendResult(Ctx* ctx, overlay::Network* net) {
   auto payload = std::make_shared<ResultPayload>();
   payload->service = ctx->service;
   payload->executed_by = id();
-  if (ctx->local.result_fragment != nullptr) {
-    payload->fragment_xml = ctx->local.result_fragment->Serialize();
-  }
+  payload->fragment_xml = ctx->local.result_xml;
   payload->participants = ctx->participants;
   payload->plans = ctx->plans;
   payload->subtree_nodes_affected = ctx->subtree_nodes_affected;

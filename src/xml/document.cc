@@ -882,10 +882,14 @@ void SerializeSubtree(const FindFn& find, NodeId id, bool pretty, int depth,
 }  // namespace
 
 std::string Document::Serialize(NodeId id, bool pretty) const {
-  if (id == kNullNode) id = root_;
   std::string out;
-  SerializeSubtree([this](NodeId n) { return Find(n); }, id, pretty, 0, &out);
+  SerializeTo(id, &out, pretty);
   return out;
+}
+
+void Document::SerializeTo(NodeId id, std::string* out, bool pretty) const {
+  if (id == kNullNode) id = root_;
+  SerializeSubtree([this](NodeId n) { return Find(n); }, id, pretty, 0, out);
 }
 
 std::string Document::SerializeRecords(const std::vector<Node>& records,

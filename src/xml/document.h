@@ -299,6 +299,12 @@ class Document {
   /// order). Stale index entries are swept as a side effect.
   void CollectElementsNamed(NameId name_id, std::vector<NodeId>* out) const;
 
+  /// False when CollectElementsNamed(name_id) would append nothing because
+  /// the index holds no entry, live or stale, for `name_id`. O(1).
+  bool HasIndexEntries(NameId name_id) const {
+    return name_id < name_index_.size() && !name_index_[name_id].empty();
+  }
+
   // --- Introspection -------------------------------------------------------
 
   /// Number of live nodes (including the root).
@@ -333,6 +339,9 @@ class Document {
   /// Serializes the subtree at `id` (default: the whole document).
   /// `pretty` adds two-space indentation and newlines.
   std::string Serialize(NodeId id = kNullNode, bool pretty = false) const;
+
+  /// Appends Serialize(id, pretty) to `*out`.
+  void SerializeTo(NodeId id, std::string* out, bool pretty = false) const;
 
   /// Serializes the subtree rooted at `root` from free-standing node
   /// records (a detached subtree, xml/edit.h: each record's `children`

@@ -294,10 +294,16 @@ Result<std::vector<NodeId>> ParseInto(Document* target,
   // The dry run rejects a malformed payload before `target` sees any of it.
   AXMLX_RETURN_IF_ERROR(
       ParserImpl(wrapped, options, /*doc=*/nullptr).RunVirtualRoot(&top));
-  if (target != nullptr) {
-    AXMLX_RETURN_IF_ERROR(
-        ParserImpl(wrapped, options, target).RunVirtualRoot(&top));
-  }
+  if (target == nullptr) return top;
+  return ParseCheckedInto(target, wrapped, options);
+}
+
+Result<std::vector<NodeId>> ParseCheckedInto(Document* target,
+                                             std::string_view wrapped,
+                                             const ParseOptions& options) {
+  std::vector<NodeId> top;
+  AXMLX_RETURN_IF_ERROR(
+      ParserImpl(wrapped, options, target).RunVirtualRoot(&top));
   return top;
 }
 

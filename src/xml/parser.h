@@ -40,6 +40,14 @@ Result<std::vector<NodeId>> ParseInto(Document* target,
                                       std::string_view wrapped,
                                       const ParseOptions& options = {});
 
+/// ParseInto's build alone, for text that ParseInto(nullptr, wrapped)
+/// already accepted: one check can serve many builds of the same payload.
+/// Text that was not checked first may fail part-way and leave detached
+/// nodes behind.
+Result<std::vector<NodeId>> ParseCheckedInto(Document* target,
+                                             std::string_view wrapped,
+                                             const ParseOptions& options = {});
+
 }  // namespace axmlx::xml
 
 #endif  // AXMLX_XML_PARSER_H_

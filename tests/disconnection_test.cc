@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "recovery/chained_peer.h"
 #include "repo/axml_repository.h"
 #include "repo/scenarios.h"
+#include "txn/payload.h"
 
 namespace axmlx::repo {
 namespace {
@@ -167,6 +170,112 @@ TEST(Disconnection, ChainShipsWithInvocations) {
   EXPECT_EQ(chain->SiblingsOf("AP3"),
             (std::vector<overlay::PeerId>{"AP4"}));
   EXPECT_TRUE(chain->Serialize().find("AP1*") != std::string::npos);
+}
+
+/// A peer that records the chain header of every INVOKE it receives and
+/// answers nothing. It hosts the one service it is invoked for, so the
+/// directory can place it in a chain.
+class ChainSpy : public overlay::PeerNode {
+ public:
+  using Seen = std::vector<std::pair<overlay::PeerId, std::string>>;
+  ChainSpy(overlay::PeerId id, const std::string& service, Seen* seen)
+      : PeerNode(std::move(id), /*super_peer=*/false), seen_(seen) {
+    service::ServiceDefinition def;
+    def.name = service;
+    (void)repo_.AddService(def);
+  }
+  void OnMessage(const overlay::Message& m, overlay::Network*) override {
+    if (m.type != txn::kMsgInvoke) return;
+    auto it = m.headers.find(txn::kHdrChain);
+    seen_->emplace_back(id(), it == m.headers.end() ? "(none)" : it->second);
+  }
+  service::Repository* repo() { return &repo_; }
+
+ private:
+  service::Repository repo_;
+  Seen* seen_;
+};
+
+/// P0 (origin) -> {P1 -> {L1, L2}, Q}: P0 and P1 run the chained protocol;
+/// Q, L1 and L2 are spies, so both hops of the depth-2 tree are observed.
+Status BuildSpyTree(AxmlRepository* repo, ChainSpy::Seen* seen) {
+  for (const char* id : {"P0", "P1"}) {
+    AxmlRepository::PeerConfig config;
+    config.id = id;
+    config.super_peer = std::string(id) == "P0";
+    config.protocol = AxmlRepository::Protocol::kChained;
+    config.options.use_chaining = true;
+    AXMLX_RETURN_IF_ERROR(repo->AddPeer(config).status());
+    AXMLX_RETURN_IF_ERROR(repo->HostDocument(
+        id, "<Data" + std::string(id) + "><log/></Data" + id + ">"));
+  }
+  for (const char* id : {"Q", "L1", "L2"}) {
+    auto spy = std::make_unique<ChainSpy>(id, "Leaf", seen);
+    repo->directory().Register(id, spy->repo(), /*super_peer=*/false);
+    repo->network().AddPeer(std::move(spy));
+  }
+  service::ServiceDefinition mid;
+  mid.name = "Mid";
+  mid.document = "DataP1";
+  mid.subcalls.push_back({"L1", "Leaf", {}, {}});
+  mid.subcalls.push_back({"L2", "Leaf", {}, {}});
+  AXMLX_RETURN_IF_ERROR(repo->HostService("P1", mid));
+  service::ServiceDefinition root;
+  root.name = "Root";
+  root.document = "DataP0";
+  root.subcalls.push_back({"P1", "Mid", {}, {}});
+  root.subcalls.push_back({"Q", "Leaf", {}, {}});
+  return repo->HostService("P0", root);
+}
+
+TEST(Disconnection, ChainForwardedVerbatimAtEveryHop) {
+  AxmlRepository repo(1);
+  ChainSpy::Seen seen;
+  ASSERT_TRUE(BuildSpyTree(&repo, &seen).ok());
+  auto chain = repo.directory().BuildChain("P0", "Root");
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  const std::string origin = chain->Serialize();
+  EXPECT_EQ(origin, "[P0*:Root -> [P1:Mid -> [L1:Leaf] || [L2:Leaf]] || "
+                    "[Q:Leaf]]");
+  ASSERT_TRUE(repo.FindPeer("P0")
+                  ->Submit(&repo.network(), "T1", "Root", {},
+                           [](const std::string&, Status) {})
+                  .ok());
+  repo.network().RunUntilQuiescent();
+  // Q hears the origin directly (hop 1); L1 and L2 hear P1, which read the
+  // chain and passed it on (hop 2). Every header is the origin's text.
+  ASSERT_EQ(seen.size(), 3u);
+  for (const auto& [peer, header] : seen) EXPECT_EQ(header, origin) << peer;
+}
+
+TEST(Disconnection, ChainHeaderReachesChildrenCanonicalOrEmpty) {
+  // An INVOKE whose chain header is spelled loosely is passed on as
+  // Serialize writes it; a malformed one leaves the context with an empty
+  // chain, which its children receive as "[]".
+  const std::pair<std::string, std::string> cases[] = {
+      {"[P0* -> [P1:Mid->[L1:Leaf]||[L2:Leaf]]]",
+       "[P0* -> [P1:Mid -> [L1:Leaf] || [L2:Leaf]]]"},
+      {"[P0* -> [P1:Mid -> [L1", "[]"},
+  };
+  for (const auto& [sent, expected] : cases) {
+    AxmlRepository repo(1);
+    ChainSpy::Seen seen;
+    ASSERT_TRUE(BuildSpyTree(&repo, &seen).ok());
+    overlay::Message m;
+    m.from = "Q";
+    m.to = "P1";
+    m.type = txn::kMsgInvoke;
+    m.headers[txn::kHdrTxn] = "T1";
+    m.headers[txn::kHdrService] = "Mid";
+    m.headers[txn::kHdrChain] = sent;
+    m.body = txn::EncodeParams({});
+    ASSERT_TRUE(repo.network().Send(std::move(m)).ok());
+    repo.network().RunUntilQuiescent();
+    ASSERT_EQ(seen.size(), 2u) << sent;
+    for (const auto& [peer, header] : seen) {
+      EXPECT_EQ(header, expected) << sent << " at " << peer;
+    }
+  }
 }
 
 TEST(Disconnection, SuperPeerOriginNeverDisconnects) {

@@ -502,6 +502,57 @@ TEST(CallSelectionTest, MalformedCallFailsQueryThatDoesNotNeedIt) {
   }
 }
 
+/// Root with `item` bindings holding plain elements named like call
+/// outputs, and no call anywhere.
+std::unique_ptr<Document> RandomCallsFreeDocument(Rng* rng) {
+  auto doc = std::make_unique<Document>("Root");
+  const int items = static_cast<int>(rng->UniformRange(2, 6));
+  for (int i = 0; i < items; ++i) {
+    NodeId item = xml::AddElement(doc.get(), doc->root(), "item");
+    xml::AddTextElement(doc.get(), item, "key",
+                        "v" + std::to_string(rng->Uniform(3)));
+    const int n = static_cast<int>(rng->UniformRange(0, 3));
+    for (int k = 0; k < n; ++k) {
+      NodeId parent = item;
+      if (rng->Bernoulli(0.3)) parent = xml::AddElement(doc.get(), item, "grp");
+      xml::AddTextElement(doc.get(), parent, PickName(rng), "r");
+    }
+  }
+  return doc;
+}
+
+TEST(CallSelectionTest, CallsFreeDocumentSkipsSelectionAndCatalog) {
+  Rng rng(5);
+  query::EvalContext ctx;
+  for (int round = 0; round < 20; ++round) {
+    std::unique_ptr<Document> doc = RandomCallsFreeDocument(&rng);
+    ASSERT_FALSE(doc->HasIndexEntries(xml::kNameAxmlSc));
+    axml::CallCatalog catalog;
+    for (int k = 0; k < 4; ++k) {
+      const std::string text = RandomQuery(&rng);
+      const SelectionRun run = ExpectSameSelection(
+          doc.get(), &catalog, text, "round " + std::to_string(round));
+      EXPECT_TRUE(run.ok) << text;
+      EXPECT_EQ(run.materialized, 0u) << text;
+      EXPECT_EQ(run.log.size(), 0u) << text;
+      // The memos of the context it is given are dropped, as on a document
+      // with calls: the caller's next evaluation must not read stale text.
+      ctx.text_cache[doc->root()] = "stale";
+      ctx.sibling_index_cache[doc->root()] = 7;
+      auto q = query::ParseQuery(text);
+      ASSERT_TRUE(q.ok());
+      xml::EditLog log;
+      axml::Materializer m(doc.get(), NamedResult, &log, &catalog, &ctx);
+      auto got = m.MaterializeForQuery(*q, doc->root());
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(got->empty());
+      EXPECT_TRUE(ctx.text_cache.empty());
+      EXPECT_TRUE(ctx.sibling_index_cache.empty());
+    }
+    EXPECT_EQ(catalog.builds(), 0) << "round " << round;
+  }
+}
+
 /// Elements of `doc` named `name`, in document order.
 std::vector<NodeId> Named(const Document& doc, const std::string& name) {
   std::vector<NodeId> out;

@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/locked_executor.h"
 #include "service/description.h"
@@ -46,12 +48,132 @@ TEST(ServiceHost, QueryServiceReturnsSelectedCopies) {
   ServiceHost host(&repo, testing::AtpInvoker(), nullptr);
   auto outcome = host.Invoke("getPoints", {{"name", "Federer"}});
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  // Result fragment holds a copy of the (freshly materialized) points node.
-  const xml::Document& frag = *outcome->result_fragment;
-  EXPECT_EQ(frag.TextContent(frag.root()), "890");
+  // The RESULT text holds a copy of the (freshly materialized) points node.
+  auto frag = xml::Parse(outcome->result_xml);
+  ASSERT_TRUE(frag.ok()) << frag.status();
+  EXPECT_EQ((*frag)->Find((*frag)->root())->name, "result");
+  EXPECT_EQ((*frag)->TextContent((*frag)->root()), "890");
   // The query's materialization produced a compensating-service definition.
   EXPECT_FALSE(outcome->compensation.empty());
   EXPECT_GT(outcome->nodes_affected, 0u);
+}
+
+/// The RESULT body as ServiceHost used to build it: a `result` Document
+/// holding copies of the selected nodes, or an `<inserted id>` element per
+/// inserted node, for `def` run by a plain executor over `repo`.
+std::string ResultFragmentOracle(Repository* repo, const ServiceDefinition& def,
+                                 const std::vector<std::pair<std::string,
+                                                             std::string>>&
+                                     params) {
+  xml::Document result("result");
+  if (def.native) {
+    axml::ServiceRequest request;
+    request.method_name = def.name;
+    request.params = params;
+    auto response = def.native(request);
+    EXPECT_TRUE(response.ok()) << response.status();
+    if (response->fragment == nullptr) return result.Serialize();
+    const xml::Document& frag = *response->fragment;
+    for (xml::NodeId c : frag.Find(frag.root())->children) {
+      xml::NodeId copy = result.ImportSubtree(frag, c).value();
+      EXPECT_TRUE(result.AppendChild(result.root(), copy).ok());
+    }
+    return result.Serialize();
+  }
+  xml::Document* doc = repo->GetDocument(def.document);
+  ops::Executor executor(doc, testing::AtpInvoker());
+  for (const auto& [key, value] : params) executor.SetExternal(key, value);
+  for (ops::Operation op : def.ops) {
+    op.location = SubstituteParams(op.location, params);
+    op.data_xml = SubstituteParams(op.data_xml, params);
+    auto effect = executor.Execute(op);
+    EXPECT_TRUE(effect.ok()) << effect.status();
+    if (op.type == ops::ActionType::kQuery) {
+      for (xml::NodeId id : effect->query_result.AllSelected()) {
+        xml::NodeId copy = result.ImportSubtree(*doc, id).value();
+        EXPECT_TRUE(result.AppendChild(result.root(), copy).ok());
+      }
+    } else {
+      for (xml::NodeId id : effect->inserted) {
+        xml::NodeId ack = xml::AddElement(&result, result.root(), "inserted");
+        EXPECT_TRUE(result.SetAttribute(ack, "id", std::to_string(id)).ok());
+      }
+    }
+  }
+  return result.Serialize();
+}
+
+TEST(ServiceHost, ResultTextMatchesTheSerializedResultFragment) {
+  ServiceDefinition insert;
+  insert.name = "tagAll";
+  insert.document = "ATPList";
+  insert.ops.push_back(ops::MakeInsert("Select p from p in ATPList//player",
+                                       "<tag k=\"${k}\">a &amp; b</tag><n/>"));
+  ServiceDefinition mixed;
+  mixed.name = "mixed";
+  mixed.document = "ATPList";
+  mixed.ops.push_back(ops::MakeQuery(
+      "Select p/name from p in ATPList//player where p/name/lastname = Nadal"));
+  mixed.ops.push_back(ops::MakeInsert(
+      "Select p from p in ATPList//player where p/name/lastname = Nadal",
+      "<seen/>"));
+  ServiceDefinition empty;
+  empty.name = "nothing";
+  empty.document = "ATPList";
+  empty.ops.push_back(ops::MakeQuery(
+      "Select p/name from p in ATPList//player where p/name/lastname = Nobody"));
+  ServiceDefinition no_ops;
+  no_ops.name = "noOps";
+  no_ops.document = "ATPList";
+  ServiceDefinition native;
+  native.name = "quote";
+  native.native = [](const axml::ServiceRequest& request)
+      -> Result<axml::ServiceResponse> {
+    axml::ServiceResponse response;
+    AXMLX_ASSIGN_OR_RETURN(
+        response.fragment,
+        xml::Parse("<answer><price cur=\"&quot;\">" + request.method_name +
+                   "</price><!--c--><x/></answer>"));
+    return response;
+  };
+  ServiceDefinition native_empty;
+  native_empty.name = "silent";
+  native_empty.native = [](const axml::ServiceRequest&)
+      -> Result<axml::ServiceResponse> { return axml::ServiceResponse{}; };
+  const std::vector<std::pair<std::string, std::string>> params = {
+      {"name", "Federer"}, {"k", "v<1>"}};
+  for (const ServiceDefinition& def :
+       {PointsService(), insert, mixed, empty, no_ops, native, native_empty}) {
+    Repository host_repo;
+    Repository oracle_repo;
+    Repository local_repo;
+    for (Repository* repo : {&host_repo, &oracle_repo, &local_repo}) {
+      ASSERT_TRUE(repo->AddDocument(testing::MakeAtpList()).ok());
+      ASSERT_TRUE(repo->AddService(def).ok());
+    }
+    ServiceHost host(&host_repo, testing::AtpInvoker(), nullptr);
+    auto outcome = host.Invoke(def.name, params);
+    ASSERT_TRUE(outcome.ok()) << def.name << ": " << outcome.status();
+    const std::string expected =
+        ResultFragmentOracle(&oracle_repo, def, params);
+    const bool none = def.name == "nothing" || def.name == "noOps" ||
+                      def.name == "silent";
+    EXPECT_EQ(expected == "<result/>", none) << def.name << ": " << expected;
+    EXPECT_EQ(outcome->result_xml, expected) << def.name;
+    // A local materialization reads the same nodes from a Document.
+    ServiceHost local(&local_repo, testing::AtpInvoker(), nullptr);
+    auto response = local.InvokeLocal(def.name, params);
+    ASSERT_TRUE(response.ok()) << def.name << ": " << response.status();
+    ASSERT_NE(response->fragment, nullptr) << def.name;
+    const xml::Document& frag = *response->fragment;
+    std::string children;
+    for (xml::NodeId c : frag.Find(frag.root())->children) {
+      children += frag.Serialize(c);
+    }
+    EXPECT_EQ(children.empty() ? "<result/>" : "<result>" + children + "</result>",
+              expected)
+        << def.name;
+  }
 }
 
 TEST(ServiceHost, UpdateServiceIsAtomicOnFailure) {

@@ -359,6 +359,26 @@ TEST_F(StorageTest, PublishesHotPathCountersInMetrics) {
   EXPECT_GT(counters.at(obs::kMetricWalFlushes), 0);
 }
 
+TEST_F(StorageTest, SeedAndReplayNodesArePublishedBeforeTheFirstTxn) {
+  int64_t seeded = 0;
+  {
+    auto store = OpenStore();
+    ASSERT_TRUE(store->CreateDocument(testing::kAtpListXml).ok());
+    seeded = store->Get("ATPList")->storage_stats().nodes_allocated;
+    ASSERT_GT(seeded, 0);
+    // Published by CreateDocument itself, not by the first Execute.
+    EXPECT_EQ(
+        store->metrics().Snapshot().counters.at(obs::kMetricDocNodesAllocated),
+        seeded);
+  }
+  // Replay in Open allocates the same nodes again; Open publishes them.
+  auto reopened = OpenStore();
+  EXPECT_EQ(reopened->metrics().Snapshot().counters.at(
+                obs::kMetricDocNodesAllocated),
+            reopened->Get("ATPList")->storage_stats().nodes_allocated);
+  EXPECT_EQ(reopened->Get("ATPList")->storage_stats().nodes_allocated, seeded);
+}
+
 TEST_F(StorageTest, BatchedCommitSurvivesRestart) {
   {
     DurableStore store(dir_, testing::AtpInvoker(), FlushPolicy::OnResolve());

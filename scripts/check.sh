@@ -4,7 +4,8 @@
 # smoke stage (which includes the bench_obs_overhead flight-recorder budget
 # gate), an end-to-end forensics render, the end-to-end benchmark's
 # deterministic counts against bench/baselines/e2e/deterministic.txt, and the
-# fault-injection, call-catalog, payload and MVCC suites under ASan/UBSan.
+# fault-injection, call-catalog, payload, parser-robustness and MVCC suites
+# under ASan/UBSan.
 # Exits non-zero on the first failure. See DESIGN.md §6b.
 #
 # The perf smoke stage runs the hot-path benches with --smoke and diffs
@@ -145,8 +146,15 @@ step "sanitizer payload path (ctest -L payload)"
 # documents (DESIGN.md §8): a rejected payload that left a node behind, or an
 # id handed out twice, would read a recycled slab slot, which ASan reports
 # here.
-cmake --build "$SAN_DIR" -j "$JOBS" --target payload_diff_test
+cmake --build "$SAN_DIR" -j "$JOBS" --target payload_diff_test parse_diff_test
 ctest --test-dir "$SAN_DIR" -L payload --output-on-failure -j "$JOBS"
+
+step "sanitizer parser robustness (ctest -L robustness)"
+# Malformed and hostile input at every parse boundary (XML, query, chain),
+# including nesting far past the parsers' depth limits: a parser that
+# recursed per level would overflow the stack here.
+cmake --build "$SAN_DIR" -j "$JOBS" --target robustness_test
+ctest --test-dir "$SAN_DIR" -L robustness --output-on-failure -j "$JOBS"
 
 step "sanitizer isolation matrix (ctest -L mvcc)"
 # The MVCC interleaving matrix under ASan: version-chain bookkeeping,

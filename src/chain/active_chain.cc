@@ -1,7 +1,9 @@
 #include "chain/active_chain.h"
 
+#include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace axmlx::chain {
 
@@ -31,8 +33,11 @@ class ChainReader {
  public:
   explicit ChainReader(std::string_view text) : text_(text) {}
 
+  /// Reads one chain. Nodes nest through an explicit stack of open nodes,
+  /// so a hostile header costs heap, not call stack, and one nested deeper
+  /// than kMaxChainDepth is a ParseError.
   Status Run(ChainNode* tree) {
-    AXMLX_RETURN_IF_ERROR(ReadNode(tree));
+    AXMLX_RETURN_IF_ERROR(ReadNodes(tree));
     SkipSpace();
     if (pos_ != text_.size()) {
       return ParseError("chain: trailing characters");
@@ -96,7 +101,9 @@ class ChainReader {
     return text_.substr(start, pos_ - start);
   }
 
-  Status ReadNode(ChainNode* node) {
+  /// Reads a node's head — '[', the peer id, an optional '*' and an
+  /// optional ":service" — into `node` (null: check only).
+  Status ReadHead(ChainNode* node) {
     if (!Consume("[")) return ParseError("chain: expected '['");
     Emit("[");
     SkipSpace();
@@ -122,19 +129,43 @@ class ChainReader {
       node->super = super;
       node->service.assign(service);
     }
-    if (Consume("->")) {
-      Emit(" -> ");
+    return Status::Ok();
+  }
+
+  /// Reads the node at the cursor and all of its descendants:
+  ///   node := head [ "->" node { "||" node } ] "]"
+  /// With a null `root` only the text is checked. `open` holds the nodes
+  /// whose children are being read (null entries in a check-only run).
+  Status ReadNodes(ChainNode* root) {
+    std::vector<ChainNode*> open;
+    ChainNode* node = root;
+    while (true) {
+      AXMLX_RETURN_IF_ERROR(ReadHead(node));
+      if (Consume("->")) {
+        Emit(" -> ");
+        if (open.size() + 1 >= kMaxChainDepth) {
+          return ParseError("chain: nested deeper than " +
+                            std::to_string(kMaxChainDepth) + " levels");
+        }
+        open.push_back(node);
+        node = node != nullptr ? &node->children.emplace_back() : nullptr;
+        continue;
+      }
+      // The node has no (more) children: close it, and every ancestor whose
+      // child list ends with it, until one takes a sibling.
       while (true) {
-        ChainNode* child = nullptr;
-        if (node != nullptr) child = &node->children.emplace_back();
-        AXMLX_RETURN_IF_ERROR(ReadNode(child));
-        if (!Consume("||")) break;
-        Emit(" || ");
+        if (!Consume("]")) return ParseError("chain: expected ']'");
+        Emit("]");
+        if (open.empty()) return Status::Ok();
+        if (Consume("||")) {
+          Emit(" || ");
+          node = open.back() != nullptr ? &open.back()->children.emplace_back()
+                                        : nullptr;
+          break;
+        }
+        open.pop_back();
       }
     }
-    if (!Consume("]")) return ParseError("chain: expected ']'");
-    Emit("]");
-    return Status::Ok();
   }
 
   std::string_view text_;

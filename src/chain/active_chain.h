@@ -1,6 +1,7 @@
 #ifndef AXMLX_CHAIN_ACTIVE_CHAIN_H_
 #define AXMLX_CHAIN_ACTIVE_CHAIN_H_
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +24,11 @@ struct ChainNode {
   std::string service;  ///< Service this peer executes (label only).
   std::vector<ChainNode> children;
 };
+
+/// Deepest chain Parse accepts: the root is level 1, and a node below
+/// level kMaxChainDepth is a kParseError. A chain header comes from any
+/// peer; the limit bounds the recursive walks over the tree built from it.
+inline constexpr size_t kMaxChainDepth = 4096;
 
 /// The chain is kept as its canonical wire text (DESIGN.md §3): a hop that
 /// only passes the chain on forwards the text it received, byte for byte,
@@ -47,6 +53,7 @@ class ActivePeerChain {
   /// already in canonical form is kept as it is; any other accepted
   /// spelling (extra or missing spaces, an empty ":" label) is kept as
   /// Serialize would write its tree. "" and "[]" are the empty chain.
+  /// Nesting deeper than kMaxChainDepth is a kParseError.
   static Result<ActivePeerChain> Parse(const std::string& text);
 
   // --- Topology queries (all return empty/kNullId when `peer` is absent) --

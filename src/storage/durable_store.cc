@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -111,7 +112,11 @@ std::string EncodeSnapshot(const xml::Document& doc) {
 
 Result<std::unique_ptr<xml::Document>> DecodeSnapshot(std::string_view text) {
   if (text.substr(0, sizeof(kSnapshotHeader) - 1) != kSnapshotHeader) {
-    return xml::Parse(text);  // a snapshot written before ids were kept
+    // A snapshot written before ids were kept: still the store's own text,
+    // read without a depth limit, as xml::DecodeDocument reads the others.
+    xml::ParseOptions options;
+    options.max_depth = std::numeric_limits<size_t>::max();
+    return xml::Parse(text, options);
   }
   const size_t eol = text.find('\n');
   std::string_view header = text.substr(0, eol);

@@ -27,7 +27,11 @@ std::atomic<uint64_t> next_identity{1};
 Document::Document(RawTag)
     : identity_(next_identity.fetch_add(1, std::memory_order_relaxed)) {}
 
-Document::Document(const std::string& root_name) : Document(RawTag{}) {
+Document::Document(const std::string& root_name) : Document(BuildTag{}) {
+  root_ = CreateElement(root_name);
+}
+
+Document::Document(BuildTag) : Document(RawTag{}) {
   // Most documents are small fragments (service results, query results):
   // size the tables for the reserved names plus a few of their own up
   // front instead of regrowing them one element at a time.
@@ -44,7 +48,6 @@ Document::Document(const std::string& root_name) : Document(RawTag{}) {
     names_.emplace_back(reserved);
     name_index_.emplace_back();
   }
-  root_ = CreateElement(root_name);
 }
 
 std::unique_ptr<Document> Document::Clone() const {
@@ -59,7 +62,7 @@ std::unique_ptr<Document> Document::Clone() const {
     const uint32_t capacity = PageCapacity(p);
     const uint32_t used =
         std::min(capacity, slots_used_ - PageStart(p));  // last page: partial
-    auto new_page = std::make_unique<Node[]>(capacity);
+    auto new_page = std::make_unique_for_overwrite<Node[]>(capacity);
     std::copy(pages_[p].get(), pages_[p].get() + used, new_page.get());
     copy->AddPage(std::move(new_page), capacity);
   }
@@ -164,8 +167,7 @@ bool Document::SyncReplica(Document* replica) {
   return true;
 }
 
-void Document::RecordVersion(NodeId id, Touch touch, NameId becomes) {
-  ++mutations_;
+void Document::RecordObserved(NodeId id, Touch touch, NameId becomes) {
   if (track_changes_) changed_ids_.push_back(id);
   // A child list changes only by attaching or destroying children, and
   // those carry the change: their own records (kAttach, or kRecord for each
@@ -310,7 +312,9 @@ uint32_t Document::AllocSlot() {
   }
   if (slots_used_ == PageStart(pages_.size())) {  // every page is full
     const uint32_t capacity = PageCapacity(pages_.size());
-    AddPage(std::make_unique<Node[]>(capacity), capacity);
+    // Default-initialized: every Node member has its own initializer, so
+    // the page needs no zero fill first.
+    AddPage(std::make_unique_for_overwrite<Node[]>(capacity), capacity);
     ++storage_stats_.pages_allocated;
   }
   uint32_t slot = slots_used_++;
@@ -339,7 +343,7 @@ void Document::MapIdToSlot(NodeId id, uint32_t slot) {
   ++live_nodes_;
 }
 
-NodeId Document::NewNode(NodeType type, NameId name_id) {
+Node& Document::NewNode(NodeType type, NameId name_id) {
   uint32_t slot = AllocSlot();
   NodeId id = next_id_;
   // "absent" undo image: the id did not exist before
@@ -350,7 +354,7 @@ NodeId Document::NewNode(NodeType type, NameId name_id) {
   node.type = type;
   node.parent = kNullNode;
   ++storage_stats_.nodes_allocated;
-  return id;
+  return node;
 }
 
 // Slot recycling, not a logical mutation: every caller (RemoveSubtree /
@@ -392,24 +396,45 @@ void Document::FreeNode(NodeId id) {
 
 NodeId Document::CreateElement(std::string_view name) {
   NameId name_id = InternName(name);
-  NodeId id = NewNode(NodeType::kElement, name_id);
-  Node* node = FindMutable(id);
-  node->name = name;
-  node->name_id = name_id;
-  name_index_[name_id].push_back(id);
-  return id;
+  Node& node = NewNode(NodeType::kElement, name_id);
+  node.name = name;
+  node.name_id = name_id;
+  name_index_[name_id].push_back(node.id);
+  return node.id;
 }
 
 NodeId Document::CreateText(std::string_view text) {
-  NodeId id = NewNode(NodeType::kText);
-  FindMutable(id)->text = text;
-  return id;
+  Node& node = NewNode(NodeType::kText);
+  node.text = text;
+  return node.id;
 }
 
 NodeId Document::CreateComment(std::string_view text) {
-  NodeId id = NewNode(NodeType::kComment);
-  FindMutable(id)->text = text;
-  return id;
+  Node& node = NewNode(NodeType::kComment);
+  node.text = text;
+  return node.id;
+}
+
+Node& Document::BuildNode(NodeType type, NameId name_id, Node* parent,
+                          bool attributed) {
+  Node& node = NewNode(type, name_id);
+  const NodeId id = node.id;
+  if (type == NodeType::kElement) {
+    node.name = names_[name_id];
+    node.name_id = name_id;
+    name_index_[name_id].push_back(id);
+    if (attributed) RecordVersion(id);
+  }
+  if (parent != nullptr) {
+    RecordVersion(parent->id, Touch::kChildList);
+    RecordVersion(id, Touch::kAttach);
+    parent->children.push_back(id);
+    node.parent = parent->id;
+  } else if (root_ == kNullNode) {
+    root_ = id;
+    ++next_id_;
+  }
+  return node;
 }
 
 Status Document::AppendChild(NodeId parent, NodeId child) {

@@ -411,6 +411,28 @@ class Document {
   struct RawTag {};  ///< Tag for the member-copying Clone constructor.
   explicit Document(RawTag);
 
+  // --- Parser build entry (xml/parser.cc) ----------------------------------
+
+  friend class ParserImpl;
+
+  struct BuildTag {};  ///< Tag for a document whose root the parser builds.
+  /// The reserved names and initial tables, and no root yet: the first node
+  /// BuildNode creates becomes the root.
+  explicit Document(BuildTag);
+
+  /// Creates one node and, with a non-null `parent`, links it as the
+  /// parent's last child. It records what CreateElement (or CreateText /
+  /// CreateComment), SetAttributes when `attributed`, and InsertAt would,
+  /// in that order, but skips their lookups, checks and cycle walk: the
+  /// parser only ever appends a fresh node under an element it is still
+  /// building. An element takes `name_id`'s spelling and tag-index entry.
+  /// In a document with no root yet, the node becomes the root and the id
+  /// after it stays unused, so the root's first child takes id 3, as when
+  /// Parse built into a placeholder root. The caller writes the new node's
+  /// attributes or text before it calls into the document again.
+  Node& BuildNode(NodeType type, NameId name_id, Node* parent,
+                  bool attributed);
+
   Node& NodeAt(uint32_t slot) {
     return chunks_[slot >> kChunkBits][slot & kChunkMask];
   }
@@ -430,7 +452,7 @@ class Document {
   void MapIdToSlot(NodeId id, uint32_t slot);
 
   /// `name_id` is the name the new node will carry (kNoName: none).
-  NodeId NewNode(NodeType type, NameId name_id = kNoName);
+  Node& NewNode(NodeType type, NameId name_id = kNoName);
 
   /// Returns `id`'s slot to the free list (generation bump + field reset so
   /// the slot's string/vector capacity is recycled).
@@ -463,7 +485,16 @@ class Document {
   /// `becomes` is the name a kRecord change gives the node (kNoName: the
   /// name stays). Mutators call this immediately before changing the node.
   void RecordVersion(NodeId id, Touch touch = Touch::kRecord,
-                     NameId becomes = kNoName);
+                     NameId becomes = kNoName) {
+    ++mutations_;
+    if (track_changes_ || call_shape_watched_ || versioning_enabled_) {
+      RecordObserved(id, touch, becomes);
+    }
+  }
+
+  /// RecordVersion's part for a document someone observes: a replica
+  /// tracking its changes, a call-shape watcher, or version history.
+  void RecordObserved(NodeId id, Touch touch, NameId becomes);
 
   /// True when the subtree rooted at `id` holds a reserved element.
   bool HoldsReservedElement(NodeId id) const;

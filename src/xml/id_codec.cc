@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "xml/parser.h"
 
@@ -66,6 +67,9 @@ void Renumber(const std::vector<const Node*>& order,
 Result<std::unique_ptr<Document>> ParseExact(std::string_view xml_text) {
   ParseOptions options;
   options.keep_whitespace_text = true;
+  // The text is the program's own record of a document (a snapshot, a
+  // journaled subtree), which inserts may have grown past the default limit.
+  options.max_depth = std::numeric_limits<size_t>::max();
   return Parse(xml_text, options);
 }
 

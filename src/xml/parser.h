@@ -1,6 +1,7 @@
 #ifndef AXMLX_XML_PARSER_H_
 #define AXMLX_XML_PARSER_H_
 
+#include <cstddef>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -10,20 +11,34 @@
 
 namespace axmlx::xml {
 
+/// Deepest element nesting Parse and ParseInto accept by default: the root
+/// element (or a payload's wrapper) is level 1, and an element below level
+/// kMaxParseDepth is a kParseError. The parser keeps its open elements on
+/// the heap, so the limit bounds the recursive readers of a parsed tree
+/// (Serialize, Walk, SubtreeEquals), not the parser itself.
+inline constexpr size_t kMaxParseDepth = 4096;
+
 struct ParseOptions {
   /// When false (the default), text nodes consisting entirely of whitespace
   /// between elements are dropped and other text is trimmed; this matches
   /// how the paper's example documents are written (indentation is layout,
   /// not data).
   bool keep_whitespace_text = false;
+  /// Deepest accepted nesting. Text from outside the program keeps the
+  /// default; a store reading back its own serialization of a document
+  /// (which inserts may have grown deeper) lifts it.
+  size_t max_depth = kMaxParseDepth;
 };
 
-/// Parses `input` into a Document. Supports the XML subset used by AXML
-/// documents: an optional `<?xml ...?>` declaration, nested elements with
-/// attributes (single- or double-quoted), self-closing tags, character data
-/// with the five standard entities plus numeric references, and comments.
-/// DOCTYPE, CDATA and processing instructions other than the declaration
-/// are rejected with a kParseError status.
+/// Parses `input` into a Document in one pass. Supports the XML subset used
+/// by AXML documents: an optional `<?xml ...?>` declaration, nested elements
+/// (at most `options.max_depth` levels) with attributes (single- or
+/// double-quoted), self-closing tags, character data with the five standard
+/// entities plus numeric references, and comments. DOCTYPE, CDATA and
+/// processing instructions other than the declaration are rejected with a
+/// kParseError status. The root element takes id 1 and its first child id
+/// 3 (id 2 is never used), so ids match documents parsed before the parser
+/// built the root in place.
 Result<std::unique_ptr<Document>> Parse(std::string_view input,
                                         const ParseOptions& options = {});
 

@@ -132,6 +132,72 @@ TEST(Adversarial, DeeplyNestedXml) {
   EXPECT_EQ((*doc)->size(), 2001u);  // 2000 <a> elements + 1 text node
 }
 
+std::string NestedXml(size_t levels) {
+  std::string deep;
+  deep.reserve(levels * 7 + 1);
+  for (size_t i = 0; i < levels; ++i) deep += "<a>";
+  deep += "x";
+  for (size_t i = 0; i < levels; ++i) deep += "</a>";
+  return deep;
+}
+
+TEST(Adversarial, HostileXmlNestingIsAStatusNotACrash) {
+  const std::string deep = NestedXml(200000);
+  auto doc = xml::Parse(deep);
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.status().code(), StatusCode::kParseError);
+  // The payload dry run and build refuse it alike.
+  EXPECT_EQ(xml::ParseInto(nullptr, deep).status(), doc.status());
+  auto target = xml::Parse("<t/>");
+  ASSERT_TRUE(target.ok());
+  EXPECT_EQ(xml::ParseInto(target->get(), deep).status(), doc.status());
+  EXPECT_EQ((*target)->size(), 1u);
+}
+
+TEST(Adversarial, XmlAtTheDepthLimitParsesSerializesAndWalks) {
+  const std::string deep = NestedXml(xml::kMaxParseDepth);
+  auto doc = xml::Parse(deep);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ((*doc)->size(), xml::kMaxParseDepth + 1);
+  EXPECT_EQ((*doc)->Serialize(), deep);
+  size_t walked = 0;
+  (*doc)->Walk((*doc)->root(), [&](const xml::Node&) {
+    ++walked;
+    return true;
+  });
+  EXPECT_EQ(walked, xml::kMaxParseDepth + 1);
+  EXPECT_EQ((*doc)->TextContent((*doc)->root()), "x");
+  auto copy = (*doc)->Clone();
+  EXPECT_TRUE(xml::Document::Equals(**doc, *copy));
+  EXPECT_FALSE(xml::Parse(NestedXml(xml::kMaxParseDepth + 1)).ok());
+}
+
+std::string NestedChain(size_t levels) {
+  std::string chain;
+  chain.reserve(levels * 7);
+  for (size_t i = 1; i < levels; ++i) chain += "[A -> ";
+  chain += "[A]";
+  chain.append(levels - 1, ']');
+  return chain;
+}
+
+TEST(Adversarial, HostileChainNestingIsAStatusNotACrash) {
+  auto chain = chain::ActivePeerChain::Parse(NestedChain(200000));
+  ASSERT_FALSE(chain.ok());
+  EXPECT_EQ(chain.status().code(), StatusCode::kParseError);
+}
+
+TEST(Adversarial, ChainAtTheDepthLimitParsesAndAnswers) {
+  const std::string text = NestedChain(chain::kMaxChainDepth);
+  auto chain = chain::ActivePeerChain::Parse(text);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_EQ(chain->Serialize(), text);
+  EXPECT_EQ(chain->AllPeers().size(), chain::kMaxChainDepth);
+  EXPECT_FALSE(
+      chain::ActivePeerChain::Parse(NestedChain(chain::kMaxChainDepth + 1))
+          .ok());
+}
+
 TEST(Adversarial, HugeAttributeAndEntities) {
   std::string input = "<a k=\"" + std::string(100000, 'x') + "\">&amp;&#65;&bogus;&#xFFFF;</a>";
   auto doc = xml::Parse(input);

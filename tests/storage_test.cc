@@ -359,6 +359,46 @@ TEST_F(StorageTest, PublishesHotPathCountersInMetrics) {
   EXPECT_GT(counters.at(obs::kMetricWalFlushes), 0);
 }
 
+// Inserts may grow a document deeper than xml::kMaxParseDepth, the limit
+// on text from outside; the store must still read back its own snapshot of
+// it (and its WAL) on reopen.
+TEST_F(StorageTest, DocumentGrownPastTheParseDepthLimitReopens) {
+  auto nested = [](size_t levels, const std::string& tag) {
+    std::string out;
+    for (size_t i = 0; i < levels; ++i) out += "<" + tag + ">";
+    for (size_t i = 0; i < levels; ++i) out += "</" + tag + ">";
+    return out;
+  };
+  const size_t half = xml::kMaxParseDepth / 2 + 100;
+  std::string location = "Select x from x in Deep";
+  for (size_t i = 0; i < half; ++i) location += "/a";
+  for (const bool checkpoint : {false, true}) {
+    std::remove((dir_ + "/wal.log").c_str());
+    std::remove((dir_ + "/manifest.txt").c_str());
+    std::remove((dir_ + "/snap_Deep.xml").c_str());
+    std::string before;
+    {
+      auto store = OpenStore();
+      ASSERT_TRUE(store->CreateDocument("<Deep>" + nested(half, "a") +
+                                        "</Deep>")
+                      .ok());
+      ASSERT_TRUE(store->Begin("T1").ok());
+      auto inserted = store->Execute("T1", "Deep",
+                                     ops::MakeInsert(location, nested(half, "b")));
+      ASSERT_TRUE(inserted.ok()) << inserted.status();
+      ASSERT_TRUE(store->Commit("T1").ok());
+      if (checkpoint) {
+        ASSERT_TRUE(store->Checkpoint().ok());
+      }
+      before = store->Get("Deep")->Serialize();
+    }
+    auto reopened = OpenStore();
+    ASSERT_NE(reopened->Get("Deep"), nullptr) << "checkpoint " << checkpoint;
+    EXPECT_EQ(reopened->Get("Deep")->Serialize(), before);
+    EXPECT_GT(reopened->Get("Deep")->size(), xml::kMaxParseDepth);
+  }
+}
+
 TEST_F(StorageTest, SeedAndReplayNodesArePublishedBeforeTheFirstTxn) {
   int64_t seeded = 0;
   {

@@ -61,8 +61,8 @@
 ///      exempted with lint:allow(R6) and a justification. Outside
 ///      xml/document.{h,cc}, every FindMutable call is flagged: such a
 ///      write bypasses RecordVersion, so snapshots and delta replica sync
-///      miss it. Writes into a document nobody else has seen yet (the
-///      parser's splice) carry lint:allow(R6) with the reason.
+///      miss it. Writes into a document nobody else has seen yet carry
+///      lint:allow(R6) with the reason.
 ///  R7  determinism: no wall-clock time (std::chrono system/steady/
 ///      high_resolution clocks, gettimeofday, clock_gettime), no unseeded
 ///      randomness (rand, srand, *rand48, std::random_device), and no

@@ -8,18 +8,22 @@
 // (OP_EXEC events) — with the recorder attached and detached, and enforces
 // the budget: recorder-on throughput within kBudgetPct of recorder-off.
 //
-// The measurement alternates off/on rounds and keeps each side's best rate
-// (best-of-N damps scheduler noise; alternation damps thermal drift). The
-// binary exits 1 when either workload exceeds the budget, so check.sh can
-// gate on it, and writes BENCH_obs_overhead.json with both rates plus the
-// overhead percentages for the baseline diff pipeline.
+// The overhead is the median of the on/off rate ratios of kPairs
+// back-to-back pairs, each side first in half of them: load that slows
+// both runs of a pair cancels in its ratio, and the median drops pairs a
+// burst hit on one side only. The binary exits 1 when either workload
+// exceeds the budget, so check.sh can gate on it, and writes
+// BENCH_obs_overhead.json with both rates plus the overhead percentages
+// for the baseline diff pipeline.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "obs/flight_recorder.h"
@@ -40,10 +44,8 @@ using axmlx::storage::FlushPolicy;
 using axmlx::xml::Document;
 
 constexpr double kBudgetPct = 5.0;  ///< Max allowed recorder-on slowdown.
-// Alternating off/on rounds per path. Best-of-N only defeats transient
-// machine load if at least one "on" round lands in a quiet window, so err
-// on the side of more short rounds rather than fewer long ones.
-constexpr int kRounds = 5;
+/// Off/on pairs per path: even, so each side runs first in half of them.
+constexpr int kPairs = 12;
 
 int g_dir_counter = 0;
 
@@ -128,22 +130,43 @@ double QueryRate(bool with_recorder, int iters) {
   return OpsPerSec(iters, us);
 }
 
-/// Best-of-kRounds for both recorder states, alternating off/on.
-template <typename RateFn>
-std::pair<double, double> BestRates(RateFn&& rate, int iters) {
-  double best_off = 0;
-  double best_on = 0;
-  for (int r = 0; r < kRounds; ++r) {
-    best_off = std::max(best_off, rate(false, iters));
-    best_on = std::max(best_on, rate(true, iters));
-  }
-  return {best_off, best_on};
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
 }
 
-double OverheadPct(double off, double on) {
-  if (off <= 0) return 0;
-  double pct = (off - on) / off * 100.0;
-  return pct < 0 ? 0 : pct;  // measured faster with recorder = noise, not win
+/// One path's measurement: the median rate of each side, and the overhead
+/// from the median of the per-pair on/off ratios.
+struct PairedRates {
+  double off = 0;
+  double on = 0;
+  double overhead_pct = 0;
+};
+
+/// kPairs off/on pairs of `rate`; the recorder-off run goes first in the
+/// even pairs and second in the odd ones.
+template <typename RateFn>
+PairedRates MeasurePairs(RateFn&& rate, int iters) {
+  std::vector<double> offs;
+  std::vector<double> ons;
+  std::vector<double> ratios;
+  for (int p = 0; p < kPairs; ++p) {
+    const bool off_first = p % 2 == 0;
+    const double first = rate(/*with_recorder=*/!off_first, iters);
+    const double second = rate(/*with_recorder=*/off_first, iters);
+    const double off = off_first ? first : second;
+    const double on = off_first ? second : first;
+    offs.push_back(off);
+    ons.push_back(on);
+    ratios.push_back(off > 0 ? on / off : 1);
+  }
+  PairedRates out;
+  out.off = Median(offs);
+  out.on = Median(ons);
+  // Measured faster with the recorder is noise, not a win.
+  out.overhead_pct = std::max(0.0, (1 - Median(ratios)) * 100.0);
+  return out;
 }
 
 }  // namespace
@@ -153,20 +176,18 @@ int main(int argc, char** argv) {
   const int storage_txns = smoke ? 80 : 600;
   const int query_iters = smoke ? 300 : 3000;
 
-  auto [storage_off, storage_on] = BestRates(StorageRate, storage_txns);
-  auto [query_off, query_on] = BestRates(QueryRate, query_iters);
-  const double storage_pct = OverheadPct(storage_off, storage_on);
-  const double query_pct = OverheadPct(query_off, query_on);
+  const PairedRates storage = MeasurePairs(StorageRate, storage_txns);
+  const PairedRates query = MeasurePairs(QueryRate, query_iters);
 
   std::printf(
       "Flight-recorder overhead: instrumented hot paths with the recorder "
       "attached vs detached (budget %.1f%%)\n\n",
       kBudgetPct);
   Table table({"hot path", "iters", "off ops/sec", "on ops/sec", "overhead"});
-  table.AddRow({"storage txn", Fmt(storage_txns), Fmt(storage_off),
-                Fmt(storage_on), Fmt(storage_pct) + "%"});
-  table.AddRow({"indexed query", Fmt(query_iters), Fmt(query_off),
-                Fmt(query_on), Fmt(query_pct) + "%"});
+  table.AddRow({"storage txn", Fmt(storage_txns), Fmt(storage.off),
+                Fmt(storage.on), Fmt(storage.overhead_pct) + "%"});
+  table.AddRow({"indexed query", Fmt(query_iters), Fmt(query.off),
+                Fmt(query.on), Fmt(query.overhead_pct) + "%"});
   table.Print();
 
   axmlx::bench::JsonReport report("obs_overhead", smoke);
@@ -193,27 +214,27 @@ int main(int argc, char** argv) {
         });
   }
   report.AddCounter("storage.ops_per_sec_off",
-                    static_cast<int64_t>(storage_off));
+                    static_cast<int64_t>(storage.off));
   report.AddCounter("storage.ops_per_sec_on",
-                    static_cast<int64_t>(storage_on));
+                    static_cast<int64_t>(storage.on));
   report.AddCounter("storage.overhead_pct_x100",
-                    static_cast<int64_t>(storage_pct * 100));
-  report.AddCounter("query.ops_per_sec_off", static_cast<int64_t>(query_off));
-  report.AddCounter("query.ops_per_sec_on", static_cast<int64_t>(query_on));
+                    static_cast<int64_t>(storage.overhead_pct * 100));
+  report.AddCounter("query.ops_per_sec_off", static_cast<int64_t>(query.off));
+  report.AddCounter("query.ops_per_sec_on", static_cast<int64_t>(query.on));
   report.AddCounter("query.overhead_pct_x100",
-                    static_cast<int64_t>(query_pct * 100));
+                    static_cast<int64_t>(query.overhead_pct * 100));
   report.AddCounter("budget_pct_x100", static_cast<int64_t>(kBudgetPct * 100));
   (void)report.Write();
 
-  if (storage_pct > kBudgetPct || query_pct > kBudgetPct) {
+  if (storage.overhead_pct > kBudgetPct || query.overhead_pct > kBudgetPct) {
     std::fprintf(stderr,
                  "FAIL: flight-recorder overhead exceeds %.1f%% budget "
                  "(storage %.2f%%, query %.2f%%)\n",
-                 kBudgetPct, storage_pct, query_pct);
+                 kBudgetPct, storage.overhead_pct, query.overhead_pct);
     return 1;
   }
   std::printf("\nBudget check: OK (storage %.2f%%, query %.2f%%, budget "
               "%.1f%%)\n",
-              storage_pct, query_pct, kBudgetPct);
+              storage.overhead_pct, query.overhead_pct, kBudgetPct);
   return 0;
 }

@@ -101,9 +101,8 @@ inline bool StripSmokeFlag(int* argc, char** argv) {
 /// Microsecond-scale latency buckets shared by every bench histogram, wide
 /// enough for whole simulated transactions (up to 2s per op). ~1.6x
 /// log-spaced: the old 2-2.5x grid left medians inside buckets so wide
-/// that reported p50s pinned to bounds (the concurrency baseline read
-/// exactly 250000 for rounds whose true median was anywhere in
-/// 100000..250000).
+/// that reported p50s pinned to bounds (one baseline read exactly 250000
+/// for rounds whose true median was anywhere in 100000..250000).
 inline std::vector<int64_t> LatencyBucketsUs() {
   return {50,    80,    130,    200,    320,    500,    800,     1300,
           2000,  3200,  5000,   8000,   13000,  20000,  32000,   50000,
@@ -119,21 +118,9 @@ class JsonReport {
   JsonReport(std::string name, bool smoke)
       : name_(std::move(name)), smoke_(smoke) {}
 
-  /// Sets the headline `ops_per_sec` field only. Prefer SetWallOpsPerSec,
-  /// which says which clock the rate is measured against — the one-field
-  /// schema let bench_concurrency publish a rounds-per-second
-  /// number (4.8) next to an ops-per-second narrative (~26k) for a full PR
-  /// cycle before anyone noticed the units mismatch.
+  /// Sets `ops_per_sec`: real operations retired per second of wall-clock
+  /// time.
   void SetOpsPerSec(double ops) { ops_per_sec_ = ops; }
-
-  /// Real operations retired per second of wall-clock time. Also sets the
-  /// headline `ops_per_sec` (they are the same quantity; the separate field
-  /// exists so readers can tell which clock they are looking at).
-  void SetWallOpsPerSec(double ops) {
-    wall_ops_per_sec_ = ops;
-    has_wall_ = true;
-    ops_per_sec_ = ops;
-  }
 
   void AddCounter(const std::string& name, int64_t value) {
     counters_.emplace_back(name, value);
@@ -150,11 +137,6 @@ class JsonReport {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f", ops_per_sec_);
     out += buf;
-    if (has_wall_) {
-      std::snprintf(buf, sizeof(buf), ",\"wall_ops_per_sec\":%.3f",
-                    wall_ops_per_sec_);
-      out += buf;
-    }
     out += ",\"counters\":{";
     for (size_t i = 0; i < counters_.size(); ++i) {
       if (i > 0) out += ",";
@@ -188,18 +170,16 @@ class JsonReport {
   std::string name_;
   bool smoke_ = false;
   double ops_per_sec_ = 0;
-  double wall_ops_per_sec_ = 0;
-  bool has_wall_ = false;
   std::vector<std::pair<std::string, int64_t>> counters_;
   std::vector<std::pair<std::string, obs::HistogramSnapshot>> histograms_;
 };
 
 /// Runs `fn` `iters` times against the wall clock, records each call's
 /// latency into histogram `hist_name` (microseconds), and sets the report's
-/// wall ops/sec from the total. The histogram snapshot lands in the report
+/// ops/sec from the total. The histogram snapshot lands in the report
 /// too. Returns total elapsed wall seconds so a caller whose iteration
 /// retires more than one operation can overwrite the rate with the true
-/// per-operation number (`report->SetWallOpsPerSec(ops / seconds)`).
+/// per-operation number (`report->SetOpsPerSec(ops / seconds)`).
 template <typename Fn>
 double MeasureThroughput(JsonReport* report, const std::string& hist_name,
                          int iters, Fn&& fn) {
@@ -216,7 +196,7 @@ double MeasureThroughput(JsonReport* report, const std::string& hist_name,
   const double total_s =
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
-  report->SetWallOpsPerSec(total_s > 0 ? iters / total_s : 0);
+  report->SetOpsPerSec(total_s > 0 ? iters / total_s : 0);
   report->AddHistogram(hist_name, hist.Snapshot());
   return total_s;
 }

@@ -4,8 +4,8 @@
 # smoke stage (which includes the bench_obs_overhead flight-recorder budget
 # gate), an end-to-end forensics render, the end-to-end benchmark's
 # deterministic counts against bench/baselines/e2e/deterministic.txt, and the
-# fault-injection, call-catalog, payload, parser-robustness and MVCC suites
-# under ASan/UBSan.
+# fault-injection, call-catalog, payload and parser-robustness suites under
+# ASan/UBSan.
 # Exits non-zero on the first failure. See DESIGN.md §6b.
 #
 # The perf smoke stage runs the hot-path benches with --smoke and diffs
@@ -155,12 +155,5 @@ step "sanitizer parser robustness (ctest -L robustness)"
 # recursed per level would overflow the stack here.
 cmake --build "$SAN_DIR" -j "$JOBS" --target robustness_test
 ctest --test-dir "$SAN_DIR" -L robustness --output-on-failure -j "$JOBS"
-
-step "sanitizer isolation matrix (ctest -L mvcc)"
-# The MVCC interleaving matrix under ASan: version-chain bookkeeping,
-# conflict-triggered rollback+compensation, and pruning are exactly the
-# paths where a stale Node* or double-free would hide.
-cmake --build "$SAN_DIR" -j "$JOBS" --target isolation_matrix_test
-ctest --test-dir "$SAN_DIR" -L mvcc --output-on-failure -j "$JOBS"
 
 step "OK: all gates passed"

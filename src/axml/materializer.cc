@@ -175,7 +175,7 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
   // A document with no `axml:sc` element has nothing to materialize: it
   // needs no name sets, no sources and no catalog.
   if (!doc_->HasIndexEntries(xml::kNameAxmlSc)) {
-    if (ctx_ != nullptr && !ctx_->view.active) ctx_->InvalidateCaches();
+    if (ctx_ != nullptr) ctx_->InvalidateCaches();
     return std::vector<xml::NodeId>{};
   }
   std::vector<std::string> where_names;
@@ -215,9 +215,7 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
                                              select_names.end());
 
   std::optional<query::EvalContext> own_ctx;
-  query::EvalContext* ctx = ctx_ != nullptr && !ctx_->view.active
-                                ? ctx_
-                                : &own_ctx.emplace();
+  query::EvalContext* ctx = ctx_ != nullptr ? ctx_ : &own_ctx.emplace();
   // The context's memos describe the document as of the last invalidation;
   // materializations below move it on, so every evaluation after one starts
   // from fresh memos.

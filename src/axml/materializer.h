@@ -74,9 +74,7 @@ class Materializer {
   /// without one the materializer keeps its own for its lifetime. `ctx` is
   /// the evaluation context of the executor driving the materialization
   /// (DESIGN.md §8); lazy evaluation finds its sources through it. Without
-  /// one — or when it reads through a snapshot view: the materializer
-  /// writes the live document, so it must read it too — each lazy
-  /// evaluation uses a context of its own.
+  /// one, each lazy evaluation uses a context of its own.
   Materializer(xml::Document* doc, ServiceInvoker invoker, xml::EditLog* log,
                CallCatalog* catalog = nullptr,
                query::EvalContext* ctx = nullptr)

@@ -34,8 +34,6 @@ inline constexpr char kEvFrSpanClose[] = "SPAN_CLOSE";
 inline constexpr char kEvFrCrash[] = "CRASH";
 inline constexpr char kEvFrRestart[] = "RESTART";
 inline constexpr char kEvFrRecovery[] = "RECOVERY";
-inline constexpr char kEvFrTxnSnapshot[] = "TXN_SNAPSHOT";
-inline constexpr char kEvFrTxnConflict[] = "TXN_CONFLICT";
 
 /// One fixed-size flight-recorder record. `kind` points into the kEvFr*
 /// table (never owned); `what` is a truncating copy of the free-form detail,

@@ -8,7 +8,7 @@
 /// rule R10 enforces that every name literal passed to
 /// MetricsRegistry::GetCounter/GetGauge/GetHistogram appears in this table
 /// and that no two entries share a value. Names follow `<domain>.<metric>`:
-/// overlay.* (message fabric), txn.* (transaction protocol + MVCC),
+/// overlay.* (message fabric), txn.* (transaction protocol),
 /// txn.latency.* (per-phase attribution, obs/timeline.h), drill.*
 /// (fault-drill harness), wal.* / doc.* / query.* (storage and evaluator
 /// hot paths), obs.* (observability self-accounting).
@@ -26,7 +26,7 @@ inline constexpr char kMetricOverlayFaultsInjected[] =
     "overlay.faults_injected";
 inline constexpr char kMetricOverlayTickCalls[] = "overlay.tick_calls";
 
-// --- txn.*: transaction protocol, compensation, MVCC ---------------------
+// --- txn.*: transaction protocol, compensation ---------------------------
 inline constexpr char kMetricTxnTxnsCommitted[] = "txn.txns_committed";
 inline constexpr char kMetricTxnTxnsAborted[] = "txn.txns_aborted";
 inline constexpr char kMetricTxnContextsAborted[] = "txn.contexts_aborted";
@@ -53,13 +53,6 @@ inline constexpr char kMetricTxnSendsBestEffortFailed[] =
 inline constexpr char kMetricTxnReplicaPushesDelta[] =
     "txn.replica_pushes_delta";
 inline constexpr char kMetricTxnReplicaPushesFull[] = "txn.replica_pushes_full";
-inline constexpr char kMetricTxnSnapshotsTaken[] = "txn.snapshots_taken";
-inline constexpr char kMetricTxnSnapshotOps[] = "txn.snapshot_ops";
-inline constexpr char kMetricTxnConflictsDetected[] =
-    "txn.conflicts_detected";
-inline constexpr char kMetricTxnConflictsAborted[] = "txn.conflicts_aborted";
-inline constexpr char kMetricTxnConflictsRetried[] = "txn.conflicts_retried";
-inline constexpr char kMetricTxnMvccCommits[] = "txn.mvcc_commits";
 
 // --- txn.latency.*: per-phase transaction latency (obs/timeline.h) -------
 // One histogram per kPhase* table entry plus the end-to-end total; the
@@ -73,8 +66,6 @@ inline constexpr char kMetricTxnLatencyWalAppend[] = "txn.latency.wal_append";
 inline constexpr char kMetricTxnLatencyFlushWait[] = "txn.latency.flush_wait";
 inline constexpr char kMetricTxnLatencyNetInflight[] =
     "txn.latency.net_inflight";
-inline constexpr char kMetricTxnLatencyConflictCheck[] =
-    "txn.latency.conflict_check";
 inline constexpr char kMetricTxnLatencyCompensation[] =
     "txn.latency.compensation";
 inline constexpr char kMetricTxnLatencyRecovery[] = "txn.latency.recovery";

@@ -14,15 +14,15 @@ namespace axmlx::obs {
 namespace {
 
 const char* const kPhases[kPhaseCount] = {
-    kPhaseRecovery, kPhaseCompensation, kPhaseConflictCheck, kPhaseWalAppend,
-    kPhaseFlushWait, kPhaseEval, kPhaseNetInflight, kPhaseQueueWait,
+    kPhaseRecovery, kPhaseCompensation, kPhaseWalAppend, kPhaseFlushWait,
+    kPhaseEval,     kPhaseNetInflight,  kPhaseQueueWait,
 };
 
 const char* const kPhaseMetrics[kPhaseCount] = {
-    kMetricTxnLatencyRecovery,     kMetricTxnLatencyCompensation,
-    kMetricTxnLatencyConflictCheck, kMetricTxnLatencyWalAppend,
-    kMetricTxnLatencyFlushWait,    kMetricTxnLatencyEval,
-    kMetricTxnLatencyNetInflight,  kMetricTxnLatencyQueueWait,
+    kMetricTxnLatencyRecovery,    kMetricTxnLatencyCompensation,
+    kMetricTxnLatencyWalAppend,   kMetricTxnLatencyFlushWait,
+    kMetricTxnLatencyEval,        kMetricTxnLatencyNetInflight,
+    kMetricTxnLatencyQueueWait,
 };
 
 }  // namespace

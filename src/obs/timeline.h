@@ -20,19 +20,18 @@ class SpanTracker;
 /// these strings, so an off-table spelling silently falls out of the
 /// attribution. Table order IS attribution priority: when several phases
 /// claim the same instant, the earliest entry below wins (recovery beats
-/// compensation beats conflict checking beats WAL work beats evaluation
-/// beats transport). QUEUE_WAIT is never claimed — it is the residual
-/// attributed whenever no phase holds a claim.
+/// compensation beats WAL work beats evaluation beats transport).
+/// QUEUE_WAIT is never claimed — it is the residual attributed whenever no
+/// phase holds a claim.
 inline constexpr char kPhaseRecovery[] = "RECOVERY";
 inline constexpr char kPhaseCompensation[] = "COMPENSATION";
-inline constexpr char kPhaseConflictCheck[] = "CONFLICT_CHECK";
 inline constexpr char kPhaseWalAppend[] = "WAL_APPEND";
 inline constexpr char kPhaseFlushWait[] = "FLUSH_WAIT";
 inline constexpr char kPhaseEval[] = "EVAL";
 inline constexpr char kPhaseNetInflight[] = "NET_INFLIGHT";
 inline constexpr char kPhaseQueueWait[] = "QUEUE_WAIT";
 
-inline constexpr int kPhaseCount = 8;
+inline constexpr int kPhaseCount = 7;
 
 /// The phase table in priority order (index 0 = kPhaseRecovery, index
 /// kPhaseCount-1 = kPhaseQueueWait, the residual).
@@ -85,9 +84,7 @@ struct TxnTimeline {
 ///
 /// Local work in the discrete-event simulator is zero-tick, so phases like
 /// WAL_APPEND place zero-width claims there: they never win wall time, but
-/// they still appear in the per-phase histograms (as 0) and keep the same
-/// instrumentation shape as wall-clock executors (ConcurrentExecutor runs
-/// the same accounting on a logical op clock where they do have width).
+/// they still appear in the per-phase histograms (as 0).
 class Timeline {
  public:
   /// Registers the txn.latency.* histograms in `metrics` (not owned; null

@@ -48,7 +48,7 @@ void CollectDescendantsWalk(const xml::Document& doc, xml::NodeId id,
                             std::vector<xml::NodeId>* out) {
   std::vector<xml::NodeId>& stack = ctx->walk_stack;
   stack.clear();
-  const xml::Node* start = doc.FindAt(id, ctx->view);
+  const xml::Node* start = doc.Find(id);
   if (start == nullptr) return;
   for (size_t i = start->children.size(); i > 0; --i) {
     stack.push_back(start->children[i - 1]);
@@ -56,7 +56,7 @@ void CollectDescendantsWalk(const xml::Document& doc, xml::NodeId id,
   while (!stack.empty()) {
     xml::NodeId cur = stack.back();
     stack.pop_back();
-    const xml::Node* n = doc.FindAt(cur, ctx->view);
+    const xml::Node* n = doc.Find(cur);
     if (n == nullptr || !n->is_element() || IsBookkeepingElement(*n)) {
       continue;
     }
@@ -139,14 +139,6 @@ void CollectDescendantsForStep(const xml::Document& doc, xml::NodeId ctx_node,
     CollectDescendantsWalk(doc, ctx_node, xml::kNoName, ctx, out);
     return;
   }
-  // Under a snapshot older than the live document the tag index is
-  // unusable: it neither lists nodes deleted since the snapshot nor hides
-  // post-snapshot inserts and renames. The versioned walk is exact.
-  if (ctx->view.active && doc.version() > ctx->view.version) {
-    ++ctx->stats.walk_fallbacks;
-    CollectDescendantsWalk(doc, ctx_node, want, ctx, out);
-    return;
-  }
   if (want == xml::kNoName || NeverMatches(want)) return;  // can't match
   std::vector<xml::NodeId>& cands = ctx->candidates;
   cands.clear();
@@ -170,7 +162,7 @@ const std::string& CachedTextContent(const xml::Document& doc, xml::NodeId id,
                                      EvalContext* ctx) {
   auto [it, inserted] = ctx->text_cache.try_emplace(id);
   if (inserted) {
-    doc.AppendTextContentAt(id, ctx->view, &it->second);
+    doc.AppendTextContent(id, &it->second);
   } else {
     ++ctx->stats.text_cache_hits;
   }
@@ -215,9 +207,9 @@ void EvaluateSteps(const xml::Document& doc, xml::NodeId context,
           if (!any_name && want == xml::kNoName) break;  // name not interned
           std::vector<xml::NodeId>& tmp = ctx->axis_scratch;
           tmp.clear();
-          QueryChildrenInto(doc, ctx->view, node, &tmp);
+          QueryChildrenInto(doc, node, &tmp);
           for (xml::NodeId c : tmp) {
-            const xml::Node* child = doc.FindAt(c, ctx->view);
+            const xml::Node* child = doc.Find(c);
             if (child == nullptr) continue;
             if (any_name ? child->is_element() : child->name_id == want) {
               add(c);
@@ -233,7 +225,7 @@ void EvaluateSteps(const xml::Document& doc, xml::NodeId context,
           break;
         }
         case Step::Axis::kParent: {
-          xml::NodeId p = QueryParent(doc, ctx->view, node);
+          xml::NodeId p = QueryParent(doc, node);
           if (p != xml::kNullNode) add(p);
           break;
         }
@@ -250,27 +242,22 @@ void EvaluateSteps(const xml::Document& doc, xml::NodeId context,
 
 }  // namespace
 
-void QueryChildrenInto(const xml::Document& doc, const xml::ReadView& view,
-                       xml::NodeId id, std::vector<xml::NodeId>* out) {
-  const xml::Node* n = doc.FindAt(id, view);
+void QueryChildrenInto(const xml::Document& doc, xml::NodeId id,
+                       std::vector<xml::NodeId>* out) {
+  const xml::Node* n = doc.Find(id);
   if (n == nullptr) return;
   for (xml::NodeId c : n->children) {
-    const xml::Node* child = doc.FindAt(c, view);
+    const xml::Node* child = doc.Find(c);
     if (child == nullptr) continue;  // stale child id: skip, don't crash
     if (child->type == xml::NodeType::kComment) continue;
     if (IsBookkeepingElement(*child)) continue;
     if (IsServiceCallElement(*child)) {
       // Transparent: surface the service call's result children in place.
-      QueryChildrenInto(doc, view, c, out);
+      QueryChildrenInto(doc, c, out);
       continue;
     }
     out->push_back(c);
   }
-}
-
-void QueryChildrenInto(const xml::Document& doc, xml::NodeId id,
-                       std::vector<xml::NodeId>* out) {
-  QueryChildrenInto(doc, xml::ReadView{}, id, out);
 }
 
 std::vector<xml::NodeId> QueryChildren(const xml::Document& doc,
@@ -280,22 +267,17 @@ std::vector<xml::NodeId> QueryChildren(const xml::Document& doc,
   return out;
 }
 
-xml::NodeId QueryParent(const xml::Document& doc, const xml::ReadView& view,
-                        xml::NodeId id) {
-  const xml::Node* n = doc.FindAt(id, view);
+xml::NodeId QueryParent(const xml::Document& doc, xml::NodeId id) {
+  const xml::Node* n = doc.Find(id);
   if (n == nullptr) return xml::kNullNode;
   xml::NodeId cur = n->parent;
   while (cur != xml::kNullNode) {
-    const xml::Node* p = doc.FindAt(cur, view);
+    const xml::Node* p = doc.Find(cur);
     if (p == nullptr) return xml::kNullNode;
     if (!IsServiceCallElement(*p) && !IsBookkeepingElement(*p)) return cur;
     cur = p->parent;
   }
   return xml::kNullNode;
-}
-
-xml::NodeId QueryParent(const xml::Document& doc, xml::NodeId id) {
-  return QueryParent(doc, xml::ReadView{}, id);
 }
 
 bool CompareScalarValues(const std::string& lhs, const std::string& rhs,
@@ -361,7 +343,7 @@ bool EvaluatePredicate(const xml::Document& doc, xml::NodeId context,
                       pred.path.steps.data() + pred.path.steps.size() - 1,
                       ctx, &nodes);
         for (xml::NodeId id : nodes) {
-          const xml::Node* node = doc.FindAt(id, ctx->view);
+          const xml::Node* node = doc.Find(id);
           if (node == nullptr) continue;
           const std::string* value = node->FindAttribute(attr);
           if (value != nullptr &&
@@ -416,7 +398,7 @@ Result<std::vector<xml::NodeId>> EvaluateBindings(const xml::Document& doc,
                                                   EvalContext* ctx,
                                                   bool check_doc_name) {
   ctx->InvalidateCaches();
-  const xml::Node* root = doc.FindAt(doc.root(), ctx->view);
+  const xml::Node* root = doc.Find(doc.root());
   if (check_doc_name && root->name != q.doc_name) {
     return NotFound("query addresses document '" + q.doc_name +
                     "' but the target document root is '" + root->name + "'");

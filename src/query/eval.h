@@ -40,17 +40,9 @@ std::vector<xml::NodeId> QueryChildren(const xml::Document& doc,
 void QueryChildrenInto(const xml::Document& doc, xml::NodeId id,
                        std::vector<xml::NodeId>* out);
 
-/// Snapshot-aware form: children as of `view` (live when inactive).
-void QueryChildrenInto(const xml::Document& doc, const xml::ReadView& view,
-                       xml::NodeId id, std::vector<xml::NodeId>* out);
-
 /// Returns the query-visible parent of `id`: the nearest ancestor that is
 /// neither a service call nor bookkeeping, or kNullNode.
 xml::NodeId QueryParent(const xml::Document& doc, xml::NodeId id);
-
-/// Snapshot-aware form: the query-visible parent as of `view`.
-xml::NodeId QueryParent(const xml::Document& doc, const xml::ReadView& view,
-                        xml::NodeId id);
 
 /// Evaluation counters for one or more evaluations sharing an EvalContext.
 struct EvalStats {
@@ -66,15 +58,6 @@ struct EvalStats {
 /// the buffers are warm. Treat everything except `stats` as opaque.
 struct EvalContext {
   EvalStats stats;
-
-  /// Snapshot the evaluation reads through (DESIGN.md §10). Inactive (the
-  /// default) reads the live document. When active, every node resolution
-  /// goes through Document::FindAt, and descendant steps fall back to the
-  /// versioned tree walk whenever the document has moved past the snapshot
-  /// (the tag index only describes the live tree). Give each transaction
-  /// its own EvalContext: the text/sibling memos are only valid for one
-  /// view at a time.
-  xml::ReadView view;
 
   // Scratch (internal): cleared/reused by the evaluator.
   std::vector<xml::NodeId> walk_stack;

@@ -15,18 +15,18 @@ bool IsBookkeeping(const xml::Node& node) {
          node.name == "axml:catchAll" || node.name == "axml:retry";
 }
 
-void CollectQueryChildren(const xml::Document& doc, const xml::ReadView& view,
-                          xml::NodeId id, std::vector<xml::NodeId>* out) {
-  const xml::Node* n = doc.FindAt(id, view);
+void CollectQueryChildren(const xml::Document& doc, xml::NodeId id,
+                          std::vector<xml::NodeId>* out) {
+  const xml::Node* n = doc.Find(id);
   if (n == nullptr) return;
   for (xml::NodeId c : n->children) {
-    const xml::Node* child = doc.FindAt(c, view);
+    const xml::Node* child = doc.Find(c);
     if (child == nullptr) continue;  // stale child id: skip, don't crash
     if (child->type == xml::NodeType::kComment) continue;
     if (IsBookkeeping(*child)) continue;
     if (IsServiceCall(*child)) {
       // Transparent: surface the service call's result children.
-      CollectQueryChildren(doc, view, c, out);
+      CollectQueryChildren(doc, c, out);
       continue;
     }
     out->push_back(c);
@@ -34,15 +34,15 @@ void CollectQueryChildren(const xml::Document& doc, const xml::ReadView& view,
 }
 
 /// Appends all query-visible descendant elements of `id` (pre-order).
-void CollectDescendants(const xml::Document& doc, const xml::ReadView& view,
-                        xml::NodeId id, std::vector<xml::NodeId>* out) {
+void CollectDescendants(const xml::Document& doc, xml::NodeId id,
+                        std::vector<xml::NodeId>* out) {
   std::vector<xml::NodeId> children;
-  CollectQueryChildren(doc, view, id, &children);
+  CollectQueryChildren(doc, id, &children);
   for (xml::NodeId c : children) {
-    const xml::Node* child = doc.FindAt(c, view);
+    const xml::Node* child = doc.Find(c);
     if (child != nullptr && child->is_element()) {
       out->push_back(c);
-      CollectDescendants(doc, view, c, out);
+      CollectDescendants(doc, c, out);
     }
   }
 }
@@ -51,13 +51,12 @@ bool NameMatches(const xml::Node& node, const std::string& pattern) {
   return node.is_element() && (pattern == "*" || node.name == pattern);
 }
 
-xml::NodeId NaiveQueryParent(const xml::Document& doc,
-                             const xml::ReadView& view, xml::NodeId id) {
-  const xml::Node* n = doc.FindAt(id, view);
+xml::NodeId NaiveQueryParent(const xml::Document& doc, xml::NodeId id) {
+  const xml::Node* n = doc.Find(id);
   if (n == nullptr) return xml::kNullNode;
   xml::NodeId cur = n->parent;
   while (cur != xml::kNullNode) {
-    const xml::Node* p = doc.FindAt(cur, view);
+    const xml::Node* p = doc.Find(cur);
     if (p == nullptr) return xml::kNullNode;
     if (!IsServiceCall(*p) && !IsBookkeeping(*p)) return cur;
     cur = p->parent;
@@ -68,7 +67,6 @@ xml::NodeId NaiveQueryParent(const xml::Document& doc,
 }  // namespace
 
 std::vector<xml::NodeId> EvaluatePathFrom(const xml::Document& doc,
-                                          const xml::ReadView& view,
                                           xml::NodeId context,
                                           const PathExpr& path) {
   std::vector<xml::NodeId> current = {context};
@@ -82,22 +80,22 @@ std::vector<xml::NodeId> EvaluatePathFrom(const xml::Document& doc,
       switch (step.axis) {
         case Step::Axis::kChild: {
           std::vector<xml::NodeId> children;
-          CollectQueryChildren(doc, view, node, &children);
+          CollectQueryChildren(doc, node, &children);
           for (xml::NodeId c : children) {
-            if (NameMatches(*doc.FindAt(c, view), step.name)) add(c);
+            if (NameMatches(*doc.Find(c), step.name)) add(c);
           }
           break;
         }
         case Step::Axis::kDescendant: {
           std::vector<xml::NodeId> desc;
-          CollectDescendants(doc, view, node, &desc);
+          CollectDescendants(doc, node, &desc);
           for (xml::NodeId d : desc) {
-            if (NameMatches(*doc.FindAt(d, view), step.name)) add(d);
+            if (NameMatches(*doc.Find(d), step.name)) add(d);
           }
           break;
         }
         case Step::Axis::kParent: {
-          xml::NodeId p = NaiveQueryParent(doc, view, node);
+          xml::NodeId p = NaiveQueryParent(doc, node);
           if (p != xml::kNullNode) add(p);
           break;
         }
@@ -110,14 +108,8 @@ std::vector<xml::NodeId> EvaluatePathFrom(const xml::Document& doc,
   return current;
 }
 
-std::vector<xml::NodeId> EvaluatePathFrom(const xml::Document& doc,
-                                          xml::NodeId context,
-                                          const PathExpr& path) {
-  return EvaluatePathFrom(doc, xml::ReadView{}, context, path);
-}
-
-bool EvaluatePredicate(const xml::Document& doc, const xml::ReadView& view,
-                       xml::NodeId context, const Predicate& pred) {
+bool EvaluatePredicate(const xml::Document& doc, xml::NodeId context,
+                       const Predicate& pred) {
   switch (pred.kind) {
     case Predicate::Kind::kCompare: {
       if (!pred.path.steps.empty() &&
@@ -126,9 +118,8 @@ bool EvaluatePredicate(const xml::Document& doc, const xml::ReadView& view,
         prefix.steps.assign(pred.path.steps.begin(),
                             pred.path.steps.end() - 1);
         const std::string& attr = pred.path.steps.back().name;
-        for (xml::NodeId id :
-             naive::EvaluatePathFrom(doc, view, context, prefix)) {
-          const xml::Node* node = doc.FindAt(id, view);
+        for (xml::NodeId id : naive::EvaluatePathFrom(doc, context, prefix)) {
+          const xml::Node* node = doc.Find(id);
           if (node == nullptr) continue;
           const std::string* value = node->FindAttribute(attr);
           if (value != nullptr &&
@@ -138,81 +129,58 @@ bool EvaluatePredicate(const xml::Document& doc, const xml::ReadView& view,
         }
         return false;
       }
-      for (xml::NodeId id :
-           naive::EvaluatePathFrom(doc, view, context, pred.path)) {
-        std::string text;
-        doc.AppendTextContentAt(id, view, &text);
-        if (CompareScalarValues(text, pred.literal, pred.op)) {
+      for (xml::NodeId id : naive::EvaluatePathFrom(doc, context, pred.path)) {
+        if (CompareScalarValues(doc.TextContent(id), pred.literal, pred.op)) {
           return true;
         }
       }
       return false;
     }
     case Predicate::Kind::kAnd:
-      return naive::EvaluatePredicate(doc, view, context, *pred.left) &&
-             naive::EvaluatePredicate(doc, view, context, *pred.right);
+      return naive::EvaluatePredicate(doc, context, *pred.left) &&
+             naive::EvaluatePredicate(doc, context, *pred.right);
     case Predicate::Kind::kOr:
-      return naive::EvaluatePredicate(doc, view, context, *pred.left) ||
-             naive::EvaluatePredicate(doc, view, context, *pred.right);
+      return naive::EvaluatePredicate(doc, context, *pred.left) ||
+             naive::EvaluatePredicate(doc, context, *pred.right);
     case Predicate::Kind::kNot:
-      return !naive::EvaluatePredicate(doc, view, context, *pred.left);
+      return !naive::EvaluatePredicate(doc, context, *pred.left);
   }
   return false;
 }
 
-bool EvaluatePredicate(const xml::Document& doc, xml::NodeId context,
-                       const Predicate& pred) {
-  return EvaluatePredicate(doc, xml::ReadView{}, context, pred);
-}
-
 Result<std::vector<xml::NodeId>> EvaluateBindings(const xml::Document& doc,
-                                                  const xml::ReadView& view,
                                                   const Query& q,
                                                   bool check_doc_name) {
-  const xml::Node* root = doc.FindAt(doc.root(), view);
+  const xml::Node* root = doc.Find(doc.root());
   if (check_doc_name && root->name != q.doc_name) {
     return NotFound("query addresses document '" + q.doc_name +
                     "' but the target document root is '" + root->name + "'");
   }
   std::vector<xml::NodeId> bound =
-      naive::EvaluatePathFrom(doc, view, doc.root(), q.source);
+      naive::EvaluatePathFrom(doc, doc.root(), q.source);
   std::vector<xml::NodeId> out;
   for (xml::NodeId id : bound) {
-    if (q.where == nullptr ||
-        naive::EvaluatePredicate(doc, view, id, *q.where)) {
+    if (q.where == nullptr || naive::EvaluatePredicate(doc, id, *q.where)) {
       out.push_back(id);
     }
   }
   return out;
 }
 
-Result<std::vector<xml::NodeId>> EvaluateBindings(const xml::Document& doc,
-                                                  const Query& q,
-                                                  bool check_doc_name) {
-  return EvaluateBindings(doc, xml::ReadView{}, q, check_doc_name);
-}
-
-Result<QueryResult> EvaluateQuery(const xml::Document& doc,
-                                  const xml::ReadView& view, const Query& q,
+Result<QueryResult> EvaluateQuery(const xml::Document& doc, const Query& q,
                                   bool check_doc_name) {
-  AXMLX_ASSIGN_OR_RETURN(
-      auto bound, naive::EvaluateBindings(doc, view, q, check_doc_name));
+  AXMLX_ASSIGN_OR_RETURN(auto bound,
+                         naive::EvaluateBindings(doc, q, check_doc_name));
   QueryResult result;
   for (xml::NodeId id : bound) {
     QueryResult::Binding binding;
     binding.node = id;
     for (const PathExpr& sel : q.selects) {
-      binding.selected.push_back(
-          naive::EvaluatePathFrom(doc, view, id, sel));
+      binding.selected.push_back(naive::EvaluatePathFrom(doc, id, sel));
     }
     result.bindings.push_back(std::move(binding));
   }
   return result;
-}
-
-Result<QueryResult> EvaluateQuery(const xml::Document& doc, const Query& q,
-                                  bool check_doc_name) {
-  return EvaluateQuery(doc, xml::ReadView{}, q, check_doc_name);
 }
 
 }  // namespace axmlx::query::naive

@@ -21,36 +21,18 @@ namespace axmlx::query::naive {
 /// pre-optimization baseline. Semantics (visibility rules, comparison
 /// trimming) are identical to eval.h by construction — both share
 /// CompareScalarValues and the §3.1 service-call transparency rules.
-///
-/// Every entry point has a snapshot-aware overload taking an xml::ReadView;
-/// the view-free forms read the live document. The view overloads resolve
-/// nodes through Document::FindAt so the differential oracle also holds for
-/// transactions reading through an MVCC snapshot (DESIGN.md §10).
 std::vector<xml::NodeId> EvaluatePathFrom(const xml::Document& doc,
-                                          xml::NodeId context,
-                                          const PathExpr& path);
-std::vector<xml::NodeId> EvaluatePathFrom(const xml::Document& doc,
-                                          const xml::ReadView& view,
                                           xml::NodeId context,
                                           const PathExpr& path);
 
 bool EvaluatePredicate(const xml::Document& doc, xml::NodeId context,
                        const Predicate& pred);
-bool EvaluatePredicate(const xml::Document& doc, const xml::ReadView& view,
-                       xml::NodeId context, const Predicate& pred);
 
 Result<std::vector<xml::NodeId>> EvaluateBindings(const xml::Document& doc,
-                                                  const Query& q,
-                                                  bool check_doc_name = true);
-Result<std::vector<xml::NodeId>> EvaluateBindings(const xml::Document& doc,
-                                                  const xml::ReadView& view,
                                                   const Query& q,
                                                   bool check_doc_name = true);
 
 Result<QueryResult> EvaluateQuery(const xml::Document& doc, const Query& q,
-                                  bool check_doc_name = true);
-Result<QueryResult> EvaluateQuery(const xml::Document& doc,
-                                  const xml::ReadView& view, const Query& q,
                                   bool check_doc_name = true);
 
 }  // namespace axmlx::query::naive

@@ -319,12 +319,9 @@ Status DurableStore::ReplayWal() {
     const std::string_view rest =
         sp1 == std::string_view::npos ? std::string_view() : line.substr(sp1 + 1);
     if (kind == "BEGIN") {
-      // "BEGIN <txn> <version>"; legacy form has no version.
-      size_t sp2 = rest.find(' ');
-      TxnState& state = active_txns_[std::string(rest.substr(0, sp2))];
-      if (sp2 != std::string_view::npos) {
-        state.begin_version = std::stoull(std::string(rest.substr(sp2 + 1)));
-      }
+      // "BEGIN <txn> <version>"; legacy form has no version. Nothing reads
+      // the version back.
+      active_txns_.try_emplace(std::string(rest.substr(0, rest.find(' '))));
     } else if (kind == "RESOLVED") {
       // "RESOLVED <txn> <C|A> <ops> <version>"; legacy form is just <txn>.
       std::istringstream fields{std::string(rest)};
@@ -484,7 +481,7 @@ Status DurableStore::Begin(const std::string& txn) {
   }
   AXMLX_RETURN_IF_ERROR(
       AppendWal("BEGIN " + txn + " " + std::to_string(clock_)));
-  active_txns_[txn].begin_version = clock_;
+  active_txns_.try_emplace(txn);
   return Status::Ok();
 }
 

@@ -215,8 +215,6 @@ class DurableStore {
     /// docs[i] names the document effects()[i] applied to.
     std::vector<std::string> docs;
     std::map<std::string, std::vector<size_t>> ops_by_doc;
-    /// Logical clock at BEGIN (the txn's snapshot stamp in the WAL).
-    uint64_t begin_version = 0;
     /// OP records this txn appended to the current WAL segment — both
     /// forward and journaled compensating ops. RESOLVED carries this count
     /// so replay can detect a torn tail (RESOLVED present, payload lost).

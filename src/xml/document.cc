@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <sstream>
 
 #include "common/strings.h"
 
@@ -74,10 +73,6 @@ std::unique_ptr<Document> Document::Clone() const {
   copy->names_ = names_;
   copy->name_ids_ = name_ids_;
   copy->name_index_ = name_index_;
-  copy->versioning_enabled_ = versioning_enabled_;
-  copy->version_ = version_;
-  copy->writer_ = writer_;
-  copy->history_ = history_;
   copy->storage_stats_ = storage_stats_;
   return copy;
 }
@@ -95,9 +90,9 @@ void Document::TrackSyncedReplica(const Document& replica) {
   synced_mutations_ = replica.mutations_;
 }
 
-// Writes the replica's nodes without recording versions on purpose: the
-// replica takes the primary's MVCC state wholesale below, exactly as a
-// Clone() would, and the push is not a local change. lint:allow(R6)
+// Writes the replica's nodes without recording versions on purpose: the push
+// copies the primary's records, exactly as a Clone() would, and is not a
+// local change. lint:allow(R6)
 bool Document::SyncReplica(Document* replica) {
   if (!track_changes_ || replica == nullptr || replica == this ||
       replica->identity_ != synced_identity_ ||
@@ -156,12 +151,7 @@ bool Document::SyncReplica(Document* replica) {
   r.track_changes_ = false;
   r.next_id_ = next_id_;
   r.root_ = root_;
-  // What a Clone() would carry besides the nodes: MVCC state and the
-  // storage counters (history is pruned to empty between transactions).
-  r.versioning_enabled_ = versioning_enabled_;
-  r.version_ = version_;
-  r.writer_ = writer_;
-  r.history_ = history_;
+  // What a Clone() would carry besides the nodes: the storage counters.
   r.storage_stats_ = storage_stats_;
   synced_mutations_ = r.mutations_;
   return true;
@@ -185,88 +175,6 @@ void Document::RecordObserved(NodeId id, Touch touch, NameId becomes) {
     }
     if (shape) MoveCallShape();
   }
-  if (!versioning_enabled_) return;
-  VersionRecord rec;
-  rec.version = ++version_;
-  rec.writer = writer_;
-  const Node* n = Find(id);
-  rec.live = n != nullptr;
-  if (n != nullptr) rec.state = *n;
-  history_[id].push_back(std::move(rec));
-  ++storage_stats_.versions_recorded;
-}
-
-const Node* Document::FindVersioned(NodeId id, const ReadView& view) const {
-  const Node* live = Find(id);
-  auto it = history_.find(id);
-  if (it == history_.end()) return live;
-  const std::vector<VersionRecord>& chain = it->second;
-  // Chains are append-ordered by version; the oldest record newer than the
-  // snapshot holds the node's state *at* the snapshot (it is the undo image
-  // of the first post-snapshot mutation).
-  auto rec = std::upper_bound(
-      chain.begin(), chain.end(), view.version,
-      [](uint64_t v, const VersionRecord& r) { return v < r.version; });
-  if (rec == chain.end()) return live;  // unchanged since the snapshot
-  // Read-your-own-writes: if the viewer authored any post-snapshot change,
-  // the live state is its state. Conflict detection keeps chains
-  // single-writer past a snapshot, so mixed chains only occur transiently
-  // while a loser is being rolled back.
-  if (view.writer != 0) {
-    for (auto r = rec; r != chain.end(); ++r) {
-      if (r->writer == view.writer) return live;
-    }
-  }
-  return rec->live ? &rec->state : nullptr;
-}
-
-void Document::ForEachWriteSince(
-    NodeId id, uint64_t since,
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  auto it = history_.find(id);
-  if (it == history_.end()) return;
-  for (const VersionRecord& rec : it->second) {
-    if (rec.version > since) fn(rec.version, rec.writer);
-  }
-}
-
-void Document::AppendTextContentAt(NodeId id, const ReadView& view,
-                                   std::string* out) const {
-  if (!view.active || !versioning_enabled_) {
-    AppendTextContent(id, out);
-    return;
-  }
-  const Node* n = FindAt(id, view);
-  if (n == nullptr) return;
-  if (n->is_text()) {
-    out->append(n->text);
-    return;
-  }
-  if (n->type == NodeType::kComment) return;
-  for (NodeId c : n->children) AppendTextContentAt(c, view, out);
-}
-
-void Document::PruneVersionsBefore(uint64_t min_version) {
-  // Order-insensitive: each chain is pruned independently and the stats
-  // fold commutes, so hash order cannot leak into observable state.
-  // lint:allow(R7)
-  for (auto it = history_.begin(); it != history_.end();) {
-    std::vector<VersionRecord>& chain = it->second;
-    auto keep = std::upper_bound(
-        chain.begin(), chain.end(), min_version,
-        [](uint64_t v, const VersionRecord& r) { return v < r.version; });
-    storage_stats_.versions_pruned +=
-        static_cast<int64_t>(keep - chain.begin());
-    chain.erase(chain.begin(), keep);
-    it = chain.empty() ? history_.erase(it) : std::next(it);
-  }
-}
-
-size_t Document::VersionRecordCount() const {
-  size_t count = 0;
-  // Order-insensitive: summing chain sizes commutes. lint:allow(R7)
-  for (const auto& [id, chain] : history_) count += chain.size();
-  return count;
 }
 
 NameId Document::ReservedNameId(std::string_view name) {
@@ -346,7 +254,7 @@ void Document::MapIdToSlot(NodeId id, uint32_t slot) {
 Node& Document::NewNode(NodeType type, NameId name_id) {
   uint32_t slot = AllocSlot();
   NodeId id = next_id_;
-  // "absent" undo image: the id did not exist before
+  // the id did not exist before
   RecordVersion(id, Touch::kRecord, name_id);
   MapIdToSlot(id, slot);
   Node& node = NodeAt(slot);
@@ -358,8 +266,8 @@ Node& Document::NewNode(NodeType type, NameId name_id) {
 }
 
 // Slot recycling, not a logical mutation: every caller (RemoveSubtree /
-// DestroySubtree / RollbackAll) records the version entry for `id` before
-// freeing, and the undo image restores the slot wholesale. lint:allow(R6)
+// DestroySubtree / RollbackAll) records the mutation of `id` before freeing
+// it. lint:allow(R6)
 void Document::FreeNode(NodeId id) {
   uint32_t slot = slot_of_id_[id];
   Node& node = NodeAt(slot);
@@ -465,8 +373,8 @@ Status Document::InsertAt(NodeId parent, size_t index, NodeId child) {
   }
   RecordVersion(parent, Touch::kChildList);
   RecordVersion(child, Touch::kAttach);
-  // RecordVersion may rehash history_ but never touches the slab, so the
-  // Node pointers above stay valid.
+  // RecordVersion never touches the slab, so the Node pointers above stay
+  // valid.
   p->children.insert(p->children.begin() + static_cast<ptrdiff_t>(index),
                      child);
   c->parent = parent;
@@ -566,37 +474,42 @@ Status Document::SetAttributes(
   return Status::Ok();
 }
 
-NodeId Document::ImportRec(const Document& src, NodeId src_id) {
-  const Node* s = src.Find(src_id);
-  NodeId id;
-  switch (s->type) {
-    case NodeType::kElement:
-      id = CreateElement(s->name);
-      break;
-    case NodeType::kText:
-      id = CreateText(s->text);
-      break;
-    case NodeType::kComment:
-      id = CreateComment(s->text);
-      break;
-    default:
-      id = CreateElement(s->name);
-  }
-  Node* d = FindMutable(id);
-  d->attributes = s->attributes;
-  for (NodeId c : s->children) {
-    NodeId cc = ImportRec(src, c);
-    FindMutable(cc)->parent = id;
-    d->children.push_back(cc);
-  }
-  return id;
-}
-
 Result<NodeId> Document::ImportSubtree(const Document& src, NodeId src_id) {
   if (src.Find(src_id) == nullptr) {
     return NotFound("ImportSubtree: unknown source node");
   }
-  return ImportRec(src, src_id);
+  // Pre-order with an explicit stack, so copies take their ids in document
+  // order and each parent gains its children in order. Each entry is a
+  // source node and the copy that adopts it (kNullNode: the detached root).
+  std::vector<std::pair<NodeId, NodeId>> stack = {{src_id, kNullNode}};
+  NodeId root = kNullNode;
+  while (!stack.empty()) {
+    const auto [from, parent] = stack.back();
+    stack.pop_back();
+    const Node* s = src.Find(from);
+    NodeId id;
+    switch (s->type) {
+      case NodeType::kText:
+        id = CreateText(s->text);
+        break;
+      case NodeType::kComment:
+        id = CreateComment(s->text);
+        break;
+      default:
+        id = CreateElement(s->name);
+    }
+    Node* d = FindMutable(id);
+    d->attributes = s->attributes;
+    if (root == kNullNode) root = id;
+    if (parent != kNullNode) {
+      d->parent = parent;
+      FindMutable(parent)->children.push_back(id);
+    }
+    for (size_t i = s->children.size(); i > 0; --i) {
+      stack.emplace_back(s->children[i - 1], id);
+    }
+  }
+  return root;
 }
 
 Result<std::unique_ptr<Document>> Document::ExtractFragment(NodeId id) const {
@@ -648,7 +561,7 @@ Status Document::RestoreSubtree(const std::vector<Node>& nodes,
 
 Status Document::AssignPreOrderIds(const std::vector<NodeId>& ids,
                                    NodeId next_id) {
-  if (versioning_enabled_ || track_changes_) {
+  if (track_changes_) {
     return FailedPrecondition(
         "AssignPreOrderIds: the document has readers of its ids");
   }
@@ -691,7 +604,7 @@ Status Document::AssignPreOrderIds(const std::vector<NodeId>& ids,
     slot_of_id[id] = slot;
     gen_of_id[id] = slot_gen_[slot];
   }
-  // Validated: rewrite every record's links. Versioning is off, so the
+  // Validated: rewrite every record's links. No replica is tracked, so the
   // version entries only count the mutation.
   for (NodeId old : order) {
     Node& n = NodeAt(slot_of_id_[old]);
@@ -827,26 +740,35 @@ std::string Document::TextContent(NodeId id) const {
 
 void Document::Walk(NodeId id,
                     const std::function<bool(const Node&)>& fn) const {
-  const Node* n = Find(id);
-  if (n == nullptr) return;
-  if (!fn(*n)) return;
-  for (NodeId c : n->children) Walk(c, fn);
+  // Its own stack, not walk_scratch_: `fn` may call the internal walks.
+  std::vector<NodeId> stack = {id};
+  while (!stack.empty()) {
+    const Node* n = Find(stack.back());
+    stack.pop_back();
+    if (n == nullptr || !fn(*n)) continue;
+    stack.insert(stack.end(), n->children.rbegin(), n->children.rend());
+  }
 }
 
 std::string Document::PathOf(NodeId id) const {
   const Node* n = Find(id);
   if (n == nullptr) return "<unknown>";
-  if (n->parent == kNullNode) return "/" + n->name;
-  std::ostringstream os;
-  os << PathOf(n->parent) << "/";
-  if (n->is_element()) {
-    os << n->name;
-  } else {
-    os << "#text";
+  // Climb to the topmost ancestor, then write the steps down from it.
+  std::vector<NodeId> below;  // `id` first, the top's child last.
+  for (NodeId cur = id; n != nullptr && n->parent != kNullNode;) {
+    below.push_back(cur);
+    cur = n->parent;
+    n = Find(cur);
   }
-  size_t idx = IndexInParent(id);
-  if (idx != kNpos) os << "[" << idx << "]";
-  return os.str();
+  std::string out = n == nullptr ? "<unknown>" : "/" + n->name;
+  for (auto it = below.rbegin(); it != below.rend(); ++it) {
+    const Node* step = Find(*it);
+    out.push_back('/');
+    out.append(step->is_element() ? step->name : "#text");
+    const size_t idx = IndexInParent(*it);
+    if (idx != kNpos) out += "[" + std::to_string(idx) + "]";
+  }
+  return out;
 }
 
 namespace {
@@ -854,54 +776,67 @@ namespace {
 /// Writes the subtree at `id`, resolving ids through `find` (nullptr: the
 /// node is left out). Document::Serialize and Document::SerializeRecords
 /// both write through this, so a node reads byte for byte alike either way.
+/// Iterative: an element with children leaves a closing entry under its
+/// children on the stack, so nesting depth costs heap, not call stack.
 template <typename FindFn>
-void SerializeSubtree(const FindFn& find, NodeId id, bool pretty, int depth,
+void SerializeSubtree(const FindFn& find, NodeId id, bool pretty,
                       std::string* out) {
-  const Node* n = find(id);
-  if (n == nullptr) return;
-  std::string indent = pretty ? std::string(static_cast<size_t>(depth) * 2, ' ')
-                              : std::string();
-  switch (n->type) {
-    case NodeType::kText:
-      if (pretty) *out += indent;
-      AppendXmlEscaped(n->text, out);
+  struct Entry {
+    NodeId id;
+    size_t depth;
+    const Node* close;  ///< Non-null: write this element's end tag.
+  };
+  std::vector<Entry> stack = {{id, 0, nullptr}};
+  while (!stack.empty()) {
+    const Entry e = stack.back();
+    stack.pop_back();
+    const size_t indent = pretty ? e.depth * 2 : 0;
+    if (e.close != nullptr) {
+      out->append(indent, ' ');
+      out->append("</");
+      out->append(e.close->name);
+      out->push_back('>');
       if (pretty) *out += "\n";
-      return;
-    case NodeType::kComment:
-      if (pretty) *out += indent;
-      out->append("<!--");
-      out->append(n->text);
-      out->append("-->");
+      continue;
+    }
+    const Node* n = find(e.id);
+    if (n == nullptr) continue;
+    out->append(indent, ' ');
+    switch (n->type) {
+      case NodeType::kText:
+        AppendXmlEscaped(n->text, out);
+        if (pretty) *out += "\n";
+        continue;
+      case NodeType::kComment:
+        out->append("<!--");
+        out->append(n->text);
+        out->append("-->");
+        if (pretty) *out += "\n";
+        continue;
+      case NodeType::kElement:
+        break;
+    }
+    out->push_back('<');
+    out->append(n->name);
+    for (const auto& [k, v] : n->attributes) {
+      out->push_back(' ');
+      out->append(k);
+      out->append("=\"");
+      AppendXmlEscaped(v, out);
+      out->push_back('"');
+    }
+    if (n->children.empty()) {
+      out->append("/>");
       if (pretty) *out += "\n";
-      return;
-    case NodeType::kElement:
-      break;
-  }
-  if (pretty) *out += indent;
-  out->push_back('<');
-  out->append(n->name);
-  for (const auto& [k, v] : n->attributes) {
-    out->push_back(' ');
-    out->append(k);
-    out->append("=\"");
-    AppendXmlEscaped(v, out);
-    out->push_back('"');
-  }
-  if (n->children.empty()) {
-    out->append("/>");
+      continue;
+    }
+    out->push_back('>');
     if (pretty) *out += "\n";
-    return;
+    stack.push_back({kNullNode, e.depth, n});
+    for (size_t i = n->children.size(); i > 0; --i) {
+      stack.push_back({n->children[i - 1], e.depth + 1, nullptr});
+    }
   }
-  out->push_back('>');
-  if (pretty) *out += "\n";
-  for (NodeId c : n->children) {
-    SerializeSubtree(find, c, pretty, depth + 1, out);
-  }
-  if (pretty) *out += indent;
-  out->append("</");
-  out->append(n->name);
-  out->push_back('>');
-  if (pretty) *out += "\n";
 }
 
 }  // namespace
@@ -914,7 +849,7 @@ std::string Document::Serialize(NodeId id, bool pretty) const {
 
 void Document::SerializeTo(NodeId id, std::string* out, bool pretty) const {
   if (id == kNullNode) id = root_;
-  SerializeSubtree([this](NodeId n) { return Find(n); }, id, pretty, 0, out);
+  SerializeSubtree([this](NodeId n) { return Find(n); }, id, pretty, out);
 }
 
 std::string Document::SerializeRecords(const std::vector<Node>& records,
@@ -931,35 +866,47 @@ std::string Document::SerializeRecords(const std::vector<Node>& records,
     return it != by_id.end() && (*it)->id == id ? *it : nullptr;
   };
   std::string out;
-  SerializeSubtree(find, root, /*pretty=*/false, 0, &out);
+  SerializeSubtree(find, root, /*pretty=*/false, &out);
   return out;
 }
 
 bool Document::SubtreeEquals(const Document& a, NodeId a_id, const Document& b,
                              NodeId b_id) {
-  const Node* na = a.Find(a_id);
-  const Node* nb = b.Find(b_id);
-  if (na == nullptr || nb == nullptr) return na == nb;
-  if (na->type != nb->type) return false;
-  if (na->is_element()) {
+  auto is_comment = [](const Document& doc, NodeId id) {
+    return doc.Find(id)->type == NodeType::kComment;
+  };
+  std::vector<std::pair<NodeId, NodeId>> stack = {{a_id, b_id}};
+  while (!stack.empty()) {
+    const auto [ia, ib] = stack.back();
+    stack.pop_back();
+    const Node* na = a.Find(ia);
+    const Node* nb = b.Find(ib);
+    if (na == nullptr || nb == nullptr) {
+      if (na != nb) return false;
+      continue;
+    }
+    if (na->type != nb->type) return false;
+    if (!na->is_element()) {
+      if (na->text != nb->text) return false;
+      continue;
+    }
     // Cross-document comparison: spellings, not per-document NameIds.
     if (na->name != nb->name) return false;
     if (na->attributes != nb->attributes) return false;
-    // Compare children skipping comments on both sides.
-    std::vector<NodeId> ca, cb;
-    for (NodeId c : na->children) {
-      if (a.Find(c)->type != NodeType::kComment) ca.push_back(c);
+    // Pair the children up, skipping comments on both sides.
+    const std::vector<NodeId>& ca = na->children;
+    const std::vector<NodeId>& cb = nb->children;
+    size_t i = 0;
+    size_t j = 0;
+    while (true) {
+      while (i < ca.size() && is_comment(a, ca[i])) ++i;
+      while (j < cb.size() && is_comment(b, cb[j])) ++j;
+      if (i == ca.size() || j == cb.size()) break;
+      stack.emplace_back(ca[i++], cb[j++]);
     }
-    for (NodeId c : nb->children) {
-      if (b.Find(c)->type != NodeType::kComment) cb.push_back(c);
-    }
-    if (ca.size() != cb.size()) return false;
-    for (size_t i = 0; i < ca.size(); ++i) {
-      if (!SubtreeEquals(a, ca[i], b, cb[i])) return false;
-    }
-    return true;
+    if (i != ca.size() || j != cb.size()) return false;
   }
-  return na->text == nb->text;
+  return true;
 }
 
 }  // namespace axmlx::xml

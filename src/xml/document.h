@@ -15,20 +15,6 @@
 
 namespace axmlx::xml {
 
-/// A consistent read position over a versioned document (DESIGN.md §10).
-///
-/// `version` is the document's mutation counter captured at transaction
-/// begin; reads through the view resolve every node to its state as of that
-/// version. `writer` is the reading transaction's own writer tag: nodes it
-/// wrote after the snapshot stay visible in their current (live) state, so
-/// a transaction always reads its own writes. An inactive view reads the
-/// live document (plain `Find`).
-struct ReadView {
-  uint64_t version = 0;  ///< Snapshot: document version at transaction begin.
-  uint64_t writer = 0;   ///< Reader's writer tag (0 = read-only observer).
-  bool active = false;   ///< False = live reads, no snapshot.
-};
-
 /// An in-memory XML tree with stable node ids and ordered children.
 ///
 /// `Document` is the storage substrate for AXML repositories: every peer in
@@ -105,8 +91,10 @@ class Document {
   /// document (a replaced document never passes for its predecessor).
   uint64_t identity() const { return identity_; }
 
-  /// Counts every recorded node-state change, versioning on or off.
+  /// Counts every recorded node-state change (every RecordVersion call).
+  /// version() is the same counter.
   uint64_t mutation_count() const { return mutations_; }
+  uint64_t version() const { return mutations_; }
 
   /// Call-shape generation (DESIGN.md §8). After WatchCallShape() it moves
   /// at the next mutation that touches a reserved AXML element (node.h):
@@ -148,60 +136,6 @@ class Document {
 
   /// True if `id` identifies a live node of this document.
   bool Contains(NodeId id) const { return Find(id) != nullptr; }
-
-  // --- Multi-version reads (DESIGN.md §10) ---------------------------------
-  //
-  // Versioning turns the slab's never-reused ids into cheap copy-on-write
-  // history: every mutation first pushes the *prior* state of each touched
-  // node onto that node's undo chain, tagged with the mutation's version
-  // number and the current writer tag. A snapshot is just the version
-  // counter captured at transaction begin; reconstructing a node at
-  // snapshot S walks its chain for the oldest record newer than S. Live
-  // reads stay two array reads — the chains are consulted only through
-  // FindAt with an active view.
-
-  /// Turns on version recording (idempotent). History starts empty: states
-  /// from before the call cannot be reconstructed, which is fine because
-  /// snapshots are always taken at or after the current version.
-  void EnableVersioning() { versioning_enabled_ = true; }
-  bool versioning_enabled() const { return versioning_enabled_; }
-
-  /// Mutation counter: incremented once per recorded node-state change.
-  uint64_t version() const { return version_; }
-
-  /// Tags subsequent mutations with `writer` (a transaction's writer tag;
-  /// 0 = untagged). Conflict detection and read-your-own-writes key off it.
-  void SetWriter(uint64_t writer) { writer_ = writer; }
-  uint64_t writer() const { return writer_; }
-
-  /// `Find` as of `view`: the live node when unchanged since the snapshot
-  /// (or last written by the view's own writer), the reconstructed prior
-  /// state when another writer touched it afterwards, and nullptr when the
-  /// node did not exist at the snapshot. The returned pointer stays valid
-  /// until the next mutation or PruneVersionsBefore call.
-  const Node* FindAt(NodeId id, const ReadView& view) const {
-    if (!view.active || !versioning_enabled_) return Find(id);
-    return FindVersioned(id, view);
-  }
-
-  /// Invokes `fn(version, writer)` for every retained history record of
-  /// `id` with version > `since`, oldest first. Conflict detection scans
-  /// these to find overlapping writers.
-  void ForEachWriteSince(
-      NodeId id, uint64_t since,
-      const std::function<void(uint64_t version, uint64_t writer)>& fn) const;
-
-  /// Concatenated descendant text as of `view` (live walk when inactive).
-  void AppendTextContentAt(NodeId id, const ReadView& view,
-                           std::string* out) const;
-
-  /// Drops history records with version <= `min_version` — safe once no
-  /// active snapshot is older than that version. Chains that empty are
-  /// erased entirely, so an idle document carries no history at all.
-  void PruneVersionsBefore(uint64_t min_version);
-
-  /// Retained history records across all chains (introspection/tests).
-  size_t VersionRecordCount() const;
 
   // --- Interned tag names --------------------------------------------------
 
@@ -284,8 +218,8 @@ class Document {
   Status RestoreSubtree(const std::vector<Node>& nodes, NodeId subtree_root,
                         NodeId parent, size_t index);
 
-  /// Renumbers a document nobody has read ids from yet (no versioning, no
-  /// replica tracking): the i-th node in pre-order, root first, takes
+  /// Renumbers a document nobody has read ids from yet (no replica
+  /// tracking): the i-th node in pre-order, root first, takes
   /// `ids[i]`, and new nodes continue from `next_id`. Rebuilds a document
   /// from an id-exact snapshot in one pass after parsing it
   /// (xml/id_codec.h). A count mismatch, or a repeated or zero id, or one
@@ -368,8 +302,6 @@ class Document {
     int64_t slots_reused = 0;     ///< Allocations served from the free list.
     int64_t pages_allocated = 0;  ///< Slab pages ever allocated.
     int64_t index_entries_swept = 0;  ///< Stale tag-index entries dropped.
-    int64_t versions_recorded = 0;  ///< Undo records pushed (MVCC).
-    int64_t versions_pruned = 0;    ///< Undo records garbage-collected.
   };
   const StorageStats& storage_stats() const { return storage_stats_; }
 
@@ -459,17 +391,6 @@ class Document {
   void FreeNode(NodeId id);
 
   void DestroySubtree(NodeId id);
-  NodeId ImportRec(const Document& src, NodeId src_id);
-
-  /// One undo record: the state of a node just before the mutation numbered
-  /// `version` (by `writer`) replaced it. `live == false` means the node
-  /// did not exist before that mutation (creation / id-preserving restore).
-  struct VersionRecord {
-    uint64_t version = 0;
-    uint64_t writer = 0;
-    bool live = false;
-    Node state;
-  };
 
   /// What a mutation is about to change on the node it records, as far as
   /// the call-shape generation cares.
@@ -479,21 +400,21 @@ class Document {
     kAttach,     ///< The node's whole subtree is being attached.
   };
 
-  /// Pushes the current state of `id` (or an "absent" record) onto its undo
-  /// chain under a fresh version number (versioning on only), and moves the
-  /// call-shape generation when the change touches a reserved element.
+  /// Counts the mutation, notes `id` for delta replica sync while a replica
+  /// is tracked, and moves the call-shape generation when the change
+  /// touches a reserved element.
   /// `becomes` is the name a kRecord change gives the node (kNoName: the
   /// name stays). Mutators call this immediately before changing the node.
   void RecordVersion(NodeId id, Touch touch = Touch::kRecord,
                      NameId becomes = kNoName) {
     ++mutations_;
-    if (track_changes_ || call_shape_watched_ || versioning_enabled_) {
+    if (track_changes_ || call_shape_watched_) {
       RecordObserved(id, touch, becomes);
     }
   }
 
   /// RecordVersion's part for a document someone observes: a replica
-  /// tracking its changes, a call-shape watcher, or version history.
+  /// tracking its changes, or a call-shape watcher.
   void RecordObserved(NodeId id, Touch touch, NameId becomes);
 
   /// True when the subtree rooted at `id` holds a reserved element.
@@ -505,8 +426,6 @@ class Document {
     ++call_shape_generation_;
     call_shape_watched_ = false;
   }
-
-  const Node* FindVersioned(NodeId id, const ReadView& view) const;
 
   struct StringHash {
     using is_transparent = void;
@@ -556,13 +475,6 @@ class Document {
   // Tag index: [NameId] -> element ids, maintained lazily (mutable so const
   // lookups can sweep stale entries in place).
   mutable std::vector<std::vector<NodeId>> name_index_;
-
-  // MVCC state: per-node undo chains, append-ordered by version. Empty (and
-  // cost-free on the mutation path) until EnableVersioning().
-  bool versioning_enabled_ = false;
-  uint64_t version_ = 0;
-  uint64_t writer_ = 0;
-  std::unordered_map<NodeId, std::vector<VersionRecord>> history_;
 
   mutable StorageStats storage_stats_;
 

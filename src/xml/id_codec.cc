@@ -1,7 +1,6 @@
 #include "xml/id_codec.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "xml/parser.h"
@@ -39,10 +38,14 @@ bool HasDuplicate(std::vector<NodeId> sorted) {
 
 /// Appends the pre-order of the subtree at `id` in `doc` to `out`.
 void PreOrder(const Document& doc, NodeId id, std::vector<const Node*>* out) {
-  const Node* n = doc.Find(id);
-  if (n == nullptr) return;
-  out->push_back(n);
-  for (NodeId c : n->children) PreOrder(doc, c, out);
+  std::vector<NodeId> stack = {id};
+  while (!stack.empty()) {
+    const Node* n = doc.Find(stack.back());
+    stack.pop_back();
+    if (n == nullptr) continue;
+    out->push_back(n);
+    stack.insert(stack.end(), n->children.rbegin(), n->children.rend());
+  }
 }
 
 /// Node records of the parsed nodes `order` (one subtree in pre-order, its
@@ -131,27 +134,41 @@ Result<std::vector<NodeId>> DecodeIdList(std::string_view text,
 std::vector<NodeId> ExactIdsOf(const DetachedSubtree& subtree) {
   std::vector<NodeId> ids;
   // The records must already be in pre-order (DetachSubtree walks the
-  // document that way); check it while collecting. `visit` returns the
-  // subtree root's record, or null when the subtree has no exact form.
+  // document that way); check it while collecting. `take` returns the next
+  // record when it is `id`'s and round-trips, else null: the subtree has no
+  // exact form.
   size_t pos = 0;
-  std::function<const Node*(NodeId)> visit = [&](NodeId id) -> const Node* {
+  auto take = [&](NodeId id) -> const Node* {
     if (pos >= subtree.nodes.size() || subtree.nodes[pos].id != id) {
       return nullptr;
     }
     const Node& n = subtree.nodes[pos++];
     if (!NodeRoundTrips(n)) return nullptr;
     ids.push_back(n.id);
-    bool prev_text = false;
-    for (NodeId c : n.children) {
-      const Node* child = visit(c);
-      if (child == nullptr || (child->is_text() && prev_text)) return nullptr;
-      prev_text = child->is_text();
-    }
     return &n;
   };
-  if (visit(subtree.root) == nullptr || pos != subtree.nodes.size()) {
-    ids.clear();
+  // Depth-first with an explicit stack: each frame is a record, the next of
+  // its children to visit, and whether the child visited last was text.
+  struct Frame {
+    const Node* n;
+    size_t next;
+    bool prev_text;
+  };
+  const Node* root = take(subtree.root);
+  std::vector<Frame> frames;
+  if (root != nullptr) frames.push_back({root, 0, false});
+  while (!frames.empty()) {
+    Frame& f = frames.back();
+    if (f.next == f.n->children.size()) {
+      frames.pop_back();
+      continue;
+    }
+    const Node* child = take(f.n->children[f.next++]);
+    if (child == nullptr || (child->is_text() && f.prev_text)) return {};
+    f.prev_text = child->is_text();
+    frames.push_back({child, 0, false});
   }
+  if (root == nullptr || pos != subtree.nodes.size()) return {};
   return ids;
 }
 

@@ -14,8 +14,8 @@ namespace axmlx::xml {
 /// Deepest element nesting Parse and ParseInto accept by default: the root
 /// element (or a payload's wrapper) is level 1, and an element below level
 /// kMaxParseDepth is a kParseError. The parser keeps its open elements on
-/// the heap, so the limit bounds the recursive readers of a parsed tree
-/// (Serialize, Walk, SubtreeEquals), not the parser itself.
+/// the heap and Document's readers walk with explicit stacks, so the limit
+/// only caps how deep text from outside the program may nest.
 inline constexpr size_t kMaxParseDepth = 4096;
 
 struct ParseOptions {

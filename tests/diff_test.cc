@@ -173,8 +173,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DiffSeeds, ::testing::Range<uint64_t>(1, 21));
 
 TEST(DocumentDiff, SetAttributesIsVersioned) {
   // An attribute-only change replayed by ApplyDiff must go through a
-  // recorded mutator: a snapshot taken before the diff keeps reading the
-  // old attributes, and the document's mutation counter moves.
+  // recorded mutator: the document's mutation counter moves, and a tracked
+  // replica's delta push carries the new attributes (an unrecorded write
+  // would leave the replica reading the old ones).
   Document doc("Root");
   NodeId item = AddElement(&doc, doc.root(), "item");
   ASSERT_TRUE(doc.SetAttribute(item, "state", "old").ok());
@@ -185,16 +186,16 @@ TEST(DocumentDiff, SetAttributesIsVersioned) {
   ASSERT_EQ(diff->size(), 1u);
   ASSERT_EQ(diff->ops[0].kind, DiffOp::Kind::kSetAttributes);
 
-  doc.EnableVersioning();
-  const ReadView snapshot{doc.version(), /*writer=*/0, /*active=*/true};
+  std::unique_ptr<Document> replica = doc.CloneForReplica();
   const uint64_t mutations = doc.mutation_count();
   ASSERT_TRUE(ApplyDiff(&doc, *diff).ok());
   EXPECT_EQ(*doc.Find(item)->FindAttribute("state"), "new");
-  const Node* seen = doc.FindAt(item, snapshot);
+  EXPECT_GT(doc.mutation_count(), mutations);
+  ASSERT_TRUE(doc.SyncReplica(replica.get()));
+  const Node* seen = replica->Find(item);
   ASSERT_NE(seen, nullptr);
   ASSERT_NE(seen->FindAttribute("state"), nullptr);
-  EXPECT_EQ(*seen->FindAttribute("state"), "old");
-  EXPECT_GT(doc.mutation_count(), mutations);
+  EXPECT_EQ(*seen->FindAttribute("state"), "new");
 }
 
 }  // namespace

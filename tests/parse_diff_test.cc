@@ -404,15 +404,13 @@ TEST(ParseDiffTest, OverDeepNestingIsAParseErrorAtTheLimit) {
 }
 
 TEST(ParseDiffTest, PayloadsBuildLikeTheRecursiveParser) {
-  // Into live documents that version, watch their call shape and track a
-  // replica: every record the build makes must match the oracle's.
+  // Into live documents that watch their call shape and track a replica:
+  // every record the build makes must match the oracle's.
   for (uint64_t seed = 1; seed <= 120; ++seed) {
     Rng rng(seed * 31);
     auto a = xml::Parse(testing::kAtpListXml);
     auto b = xml::Parse(testing::kAtpListXml);
     ASSERT_TRUE(a.ok() && b.ok());
-    (*a)->EnableVersioning();
-    (*b)->EnableVersioning();
     std::unique_ptr<Document> replica_a = (*a)->CloneForReplica();
     std::unique_ptr<Document> replica_b = (*b)->CloneForReplica();
     for (int round = 0; round < 4; ++round) {
@@ -423,8 +421,6 @@ TEST(ParseDiffTest, PayloadsBuildLikeTheRecursiveParser) {
       const std::string where = "seed " + std::to_string(seed) + ": " + wrapped;
       (*a)->WatchCallShape();
       (*b)->WatchCallShape();
-      (*a)->SetWriter(seed);
-      (*b)->SetWriter(seed);
       auto got = xml::ParseInto(a->get(), wrapped);
       auto want = OracleParseInto(b->get(), wrapped, {});
       ASSERT_TRUE(got.ok()) << got.status() << " " << where;
@@ -437,15 +433,12 @@ TEST(ParseDiffTest, PayloadsBuildLikeTheRecursiveParser) {
       EXPECT_EQ((*a)->size(), (*b)->size()) << where;
       EXPECT_EQ((*a)->version(), (*b)->version()) << where;
       EXPECT_EQ((*a)->mutation_count(), (*b)->mutation_count()) << where;
-      EXPECT_EQ((*a)->VersionRecordCount(), (*b)->VersionRecordCount())
-          << where;
       EXPECT_EQ((*a)->call_shape_generation(), (*b)->call_shape_generation())
           << where;
       const Document::StorageStats& sa = (*a)->storage_stats();
       const Document::StorageStats& sb = (*b)->storage_stats();
       EXPECT_EQ(sa.nodes_allocated, sb.nodes_allocated) << where;
       EXPECT_EQ(sa.slots_reused, sb.slots_reused) << where;
-      EXPECT_EQ(sa.versions_recorded, sb.versions_recorded) << where;
       for (size_t i = 0; i < got->size(); ++i) {
         ASSERT_TRUE((*a)->AppendChild((*a)->root(), (*got)[i]).ok());
         ASSERT_TRUE((*b)->AppendChild((*b)->root(), (*want)[i]).ok());
@@ -457,8 +450,6 @@ TEST(ParseDiffTest, PayloadsBuildLikeTheRecursiveParser) {
       EXPECT_EQ(replica_a->Serialize(), replica_b->Serialize()) << where;
       ExpectSameRecords(*replica_a, replica_a->root(), **a, (*a)->root(),
                         where);
-      (*a)->PruneVersionsBefore((*a)->version());
-      (*b)->PruneVersionsBefore((*b)->version());
     }
   }
 }

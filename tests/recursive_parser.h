@@ -60,8 +60,8 @@ class RecursiveParser {
     AXMLX_RETURN_IF_ERROR(doc->SetAttributes(doc->root(), parsed->attributes));
     std::vector<NodeId> children = parsed->children;
     for (NodeId c : children) {
-      // Splicing inside a document nobody else has seen yet: no snapshot or
-      // replica can observe the unrecorded write. lint:allow(R6)
+      // Splicing inside a document nobody else has seen yet: no replica or
+      // call-shape watcher can observe the unrecorded write. lint:allow(R6)
       doc->FindMutable(c)->parent = kNullNode;
       Status s = doc->AppendChild(doc->root(), c);
       if (!s.ok()) return s;

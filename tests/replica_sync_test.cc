@@ -243,19 +243,6 @@ TEST(ReplicaSyncTest, ReplicaCallCatalogFollowsPushes) {
   EXPECT_EQ(catalog.builds(), 2);
 }
 
-TEST(ReplicaSyncTest, DeltaCarriesVersioningState) {
-  Document primary("Doc");
-  primary.EnableVersioning();
-  std::unique_ptr<Document> replica = primary.CloneForReplica();
-  primary.SetWriter(7);
-  xml::AddTextElement(&primary, primary.root(), "entry", "1");
-  ASSERT_TRUE(primary.SyncReplica(replica.get()));
-  EXPECT_TRUE(replica->versioning_enabled());
-  EXPECT_EQ(replica->version(), primary.version());
-  EXPECT_EQ(replica->writer(), primary.writer());
-  EXPECT_EQ(replica->VersionRecordCount(), primary.VersionRecordCount());
-}
-
 // --- In a seeded fault drill ------------------------------------------------
 
 TEST(ReplicaSyncTest, FaultDrillReplicaEqualsPrimaryAfterEveryPush) {

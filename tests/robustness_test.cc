@@ -172,6 +172,63 @@ TEST(Adversarial, XmlAtTheDepthLimitParsesSerializesAndWalks) {
   EXPECT_FALSE(xml::Parse(NestedXml(xml::kMaxParseDepth + 1)).ok());
 }
 
+TEST(Adversarial, DocumentGrownFarPastTheParseDepthLimitReadsIteratively) {
+  // Payloads nest at most kMaxParseDepth levels each, but appending each one
+  // under the previous one's deepest node grows a hosted document without
+  // bound. Every reader of the tree must keep its depth off the call stack.
+  constexpr size_t kPayloadLevels = 4000;
+  constexpr size_t kPayloads = 60;
+  constexpr size_t kLevels = kPayloadLevels * kPayloads;
+  std::string payload = "<data>";
+  for (size_t i = 0; i < kPayloadLevels; ++i) payload += "<a>";
+  for (size_t i = 0; i < kPayloadLevels; ++i) payload += "</a>";
+  payload += "</data>";
+  auto doc_or = xml::Parse("<t/>");
+  ASSERT_TRUE(doc_or.ok());
+  xml::Document& doc = **doc_or;
+  xml::NodeId deepest = doc.root();
+  for (size_t p = 0; p < kPayloads; ++p) {
+    auto built = xml::ParseInto(&doc, payload);
+    ASSERT_TRUE(built.ok()) << built.status();
+    ASSERT_EQ(built->size(), 1u);
+    ASSERT_TRUE(doc.AppendChild(deepest, built->front()).ok());
+    deepest = built->front();
+    while (!doc.Find(deepest)->children.empty()) {
+      deepest = doc.Find(deepest)->children.front();
+    }
+  }
+  ASSERT_EQ(doc.size(), kLevels + 1);
+
+  std::string want = "<t>";
+  for (size_t i = 1; i < kLevels; ++i) want += "<a>";
+  want += "<a/>";
+  for (size_t i = 1; i < kLevels; ++i) want += "</a>";
+  want += "</t>";
+  EXPECT_EQ(doc.Serialize(), want);
+
+  size_t walked = 0;
+  doc.Walk(doc.root(), [&walked](const xml::Node&) {
+    ++walked;
+    return true;
+  });
+  EXPECT_EQ(walked, kLevels + 1);
+
+  std::string path = "/t";
+  for (size_t i = 0; i < kLevels; ++i) path += "/a[0]";
+  EXPECT_EQ(doc.PathOf(deepest), path);
+
+  auto copy = doc.Clone();
+  EXPECT_TRUE(xml::Document::Equals(doc, *copy));
+  ASSERT_TRUE(copy->SetAttribute(copy->Find(deepest)->parent, "k", "v").ok());
+  EXPECT_FALSE(xml::Document::Equals(doc, *copy));
+
+  xml::Document other("host");
+  auto imported = other.ImportSubtree(doc, doc.root());
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  EXPECT_EQ(other.Serialize(*imported), want);
+  EXPECT_TRUE(xml::Document::SubtreeEquals(doc, doc.root(), other, *imported));
+}
+
 std::string NestedChain(size_t levels) {
   std::string chain;
   chain.reserve(levels * 7);

@@ -399,6 +399,54 @@ TEST_F(StorageTest, DocumentGrownPastTheParseDepthLimitReopens) {
   }
 }
 
+// Far past the limit: 60 inserts of 4,000 levels, each under the previous
+// one's innermost element, which its round names. Recursive readers
+// overflowed the stack writing the checkpoint, and journaling the
+// compensation of the aborted delete.
+TEST_F(StorageTest, DocumentGrownFarPastTheParseDepthLimitReopens) {
+  constexpr size_t kRounds = 60;
+  constexpr size_t kLevels = 4000;
+  for (const bool checkpoint : {false, true}) {
+    std::remove((dir_ + "/wal.log").c_str());
+    std::remove((dir_ + "/manifest.txt").c_str());
+    std::remove((dir_ + "/snap_Deep.xml").c_str());
+    std::string before;
+    {
+      auto store = OpenStore();
+      ASSERT_TRUE(store->CreateDocument("<Deep/>").ok());
+      std::string location = "Select x from x in Deep";
+      for (size_t r = 0; r < kRounds; ++r) {
+        const std::string tag = "e" + std::to_string(r);
+        std::string payload;
+        for (size_t i = 1; i < kLevels; ++i) payload += "<a>";
+        payload += "<" + tag + "/>";
+        for (size_t i = 1; i < kLevels; ++i) payload += "</a>";
+        const std::string txn = "T" + std::to_string(r);
+        ASSERT_TRUE(store->Begin(txn).ok());
+        ASSERT_TRUE(
+            store->Execute(txn, "Deep", ops::MakeInsert(location, payload))
+                .ok());
+        ASSERT_TRUE(store->Commit(txn).ok());
+        location = "Select x from x in Deep//" + tag;
+      }
+      before = store->Get("Deep")->Serialize();
+      ASSERT_TRUE(store->Begin("D").ok());
+      ASSERT_TRUE(store->Execute("D", "Deep",
+                                 ops::MakeDelete("Select x from x in Deep/a"))
+                      .ok());
+      ASSERT_TRUE(store->Abort("D").ok());
+      EXPECT_EQ(store->Get("Deep")->Serialize(), before);
+      if (checkpoint) {
+        ASSERT_TRUE(store->Checkpoint().ok());
+      }
+    }
+    auto reopened = OpenStore();
+    ASSERT_NE(reopened->Get("Deep"), nullptr) << "checkpoint " << checkpoint;
+    EXPECT_EQ(reopened->Get("Deep")->Serialize(), before);
+    EXPECT_EQ(reopened->Get("Deep")->size(), kRounds * kLevels + 1);
+  }
+}
+
 TEST_F(StorageTest, SeedAndReplayNodesArePublishedBeforeTheFirstTxn) {
   int64_t seeded = 0;
   {

@@ -1029,7 +1029,7 @@ Facts CollectFacts(const std::vector<File>& files) {
 }
 
 // ---------------------------------------------------------------------------
-// R6: versioning discipline on xml::Document mutators.
+// R6: recording discipline on xml::Document mutators.
 // ---------------------------------------------------------------------------
 
 void CheckVersioningDiscipline(const Facts& facts,
@@ -1060,15 +1060,16 @@ void CheckVersioningDiscipline(const Facts& facts,
     Report(findings, *d.file, "R6", d.name_pos,
            "xml::Document::" + d.name + " mutates node state (calls " +
                d.mutate_marker +
-               ") but records no version chain entry — call "
+               ") but records no RecordVersion entry — call "
                "RecordVersion/NewNode (directly or via a recording member) "
-               "or MVCC snapshots will miss the mutation");
+               "or delta replica sync and the call-shape generation will "
+               "miss the mutation");
   }
 }
 
 /// R6, outside the class: a FindMutable write anywhere but xml::Document's
-/// own files bypasses RecordVersion, so MVCC snapshots and delta replica
-/// sync both miss it. Writes into a document no one else has seen yet
+/// own files bypasses RecordVersion, so delta replica sync and the
+/// call-shape generation both miss it. Writes into a document no one else has seen yet
 /// carry lint:allow(R6) with the reason.
 void CheckFindMutableOutsideDocument(const std::vector<File>& files,
                                      std::vector<Finding>* findings) {
@@ -1082,7 +1083,7 @@ void CheckFindMutableOutsideDocument(const std::vector<File>& files,
       if (toks[i].text != "FindMutable" || !TokIs(toks, i + 1, "(")) continue;
       Report(findings, f, "R6", toks[i].pos,
              "FindMutable outside xml::Document writes node state without a "
-             "version chain entry — use a Document mutator, or justify a "
+             "RecordVersion entry — use a Document mutator, or justify a "
              "write into an unshared document with lint:allow(R6)");
     }
   }

@@ -10,8 +10,8 @@
 /// compiler never checks: every protocol message kind needs a dispatch arm,
 /// no fallible Status may be silently dropped, every StatusCode must have a
 /// printable name, trace-event kinds must come from one declared table
-/// (benches assert on them by string), every mutation must leave a version
-/// chain entry, and every WAL record written must be replayable. This
+/// (benches assert on them by string), every mutation must be recorded
+/// (RecordVersion), and every WAL record written must be replayable. This
 /// linter turns those review-time conventions into CI-enforced rules. It is
 /// a lightweight tokenizer over the source tree — no libclang — which keeps
 /// it dependency-free and fast enough to run as an ordinary ctest (label
@@ -52,16 +52,16 @@
 ///  R5  no assert where a Status return is available: library functions
 ///      returning Status/Result must report failures, not assert(); the
 ///      paper's recovery protocol depends on faults being propagated.
-///  R6  versioning discipline: every member of xml::Document (defined in
+///  R6  recording discipline: every member of xml::Document (defined in
 ///      xml/document.cc) that mutates node state — detected as a call to
-///      FindMutable or NodeAt — must record an MVCC undo entry, either by
+///      FindMutable or NodeAt — must record the mutation, either by
 ///      calling RecordVersion/NewNode directly or by delegating to another
 ///      Document member that does (computed as a fixpoint over the
 ///      intra-class call graph). A mutator the rule cannot see through is
 ///      exempted with lint:allow(R6) and a justification. Outside
 ///      xml/document.{h,cc}, every FindMutable call is flagged: such a
-///      write bypasses RecordVersion, so snapshots and delta replica sync
-///      miss it. Writes into a document nobody else has seen yet carry
+///      write bypasses RecordVersion, so delta replica sync and the
+///      call-shape generation miss it. Writes into a document nobody else has seen yet carry
 ///      lint:allow(R6) with the reason.
 ///  R7  determinism: no wall-clock time (std::chrono system/steady/
 ///      high_resolution clocks, gettimeofday, clock_gettime), no unseeded

@@ -328,12 +328,6 @@ std::string CheckBenchJson(const std::string& json_text) {
   if (ops == nullptr || !ops->is_number() || ops->number < 0) {
     return "missing non-negative number \"ops_per_sec\"";
   }
-  // Optional wall-clock rate (older reports omit it); when present it must
-  // be well-formed.
-  const obs::JsonValue* wall = doc->Find("wall_ops_per_sec");
-  if (wall != nullptr && (!wall->is_number() || wall->number < 0)) {
-    return "\"wall_ops_per_sec\" is not a non-negative number";
-  }
   const obs::JsonValue* counters = doc->Find("counters");
   if (counters == nullptr || !counters->is_object()) {
     return "missing object \"counters\"";
@@ -396,14 +390,6 @@ std::string DiffBenchJson(const std::string& old_json,
   const double new_ops = new_doc->Find("ops_per_sec")->number;
   os << "  ops/sec: " << FmtDouble(old_ops) << " -> " << FmtDouble(new_ops)
      << " (" << FmtDeltaPct(old_ops, new_ops) << ")\n";
-  // Wall-clock rate, when both sides carry it (older reports omit it).
-  const obs::JsonValue* old_wall = old_doc->Find("wall_ops_per_sec");
-  const obs::JsonValue* new_wall = new_doc->Find("wall_ops_per_sec");
-  if (old_wall != nullptr && new_wall != nullptr) {
-    os << "  wall_ops_per_sec: " << FmtDouble(old_wall->number) << " -> "
-       << FmtDouble(new_wall->number) << " ("
-       << FmtDeltaPct(old_wall->number, new_wall->number) << ")\n";
-  }
 
   const obs::JsonValue* old_hists = old_doc->Find("histograms");
   const obs::JsonValue* new_hists = new_doc->Find("histograms");

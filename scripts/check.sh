@@ -4,8 +4,8 @@
 # smoke stage (which includes the bench_obs_overhead flight-recorder budget
 # gate), an end-to-end forensics render, the end-to-end benchmark's
 # deterministic counts against bench/baselines/e2e/deterministic.txt, and the
-# fault-injection, call-catalog, payload and parser-robustness suites under
-# ASan/UBSan.
+# fault-injection, call-catalog, payload, journal and parser-robustness
+# suites under ASan/UBSan.
 # Exits non-zero on the first failure. See DESIGN.md §6b.
 #
 # The perf smoke stage runs the hot-path benches with --smoke and diffs
@@ -148,6 +148,14 @@ step "sanitizer payload path (ctest -L payload)"
 # here.
 cmake --build "$SAN_DIR" -j "$JOBS" --target payload_diff_test parse_diff_test
 ctest --test-dir "$SAN_DIR" -L payload --output-on-failure -j "$JOBS"
+
+step "sanitizer journal path (ctest -L journal)"
+# Peers journal path-addressed effect records and stores apply them to
+# their own copies, seeded from text with other node ids (DESIGN.md §5d): a
+# path resolved to the wrong node would read a recycled slab slot, which
+# ASan reports here.
+cmake --build "$SAN_DIR" -j "$JOBS" --target journal_test
+ctest --test-dir "$SAN_DIR" -L journal --output-on-failure -j "$JOBS"
 
 step "sanitizer parser robustness (ctest -L robustness)"
 # Malformed and hostile input at every parse boundary (XML, query, chain),

@@ -98,41 +98,67 @@ Result<ServiceResponse> Materializer::InvokeWithHandlers(
   return response;
 }
 
-Result<std::vector<xml::NodeId>> Materializer::ApplyResults(
-    const ServiceCallInfo& info, const xml::Document& fragment) {
-  std::vector<xml::NodeId> inserted;
-  if (info.mode == ScMode::kReplace) {
+Status ApplyCallResults(xml::Document* doc, xml::NodeId sc, ScMode mode,
+                        const std::vector<xml::NodeId>& results,
+                        xml::EditLog* log, MaterializeStats* stats) {
+  Status status = Status::Ok();
+  if (mode == ScMode::kReplace) {
     // Remove the previous results, logging each removal so compensation can
     // reinstate the old values (§3.1, Query B example: points 890 -> 475).
-    for (xml::NodeId old : ResultChildren(*doc_, info.element)) {
-      AXMLX_ASSIGN_OR_RETURN(xml::DetachResult detached,
-                             xml::DetachSubtree(doc_, old));
+    for (xml::NodeId old : ResultChildren(*doc, sc)) {
+      Result<xml::DetachResult> detached_or = xml::DetachSubtree(doc, old);
+      if (!detached_or.ok()) {
+        status = detached_or.status();
+        break;
+      }
+      xml::DetachResult detached = std::move(detached_or).value();
       xml::Edit edit;
       edit.kind = xml::Edit::Kind::kRemoveSubtree;
       edit.node = detached.subtree.root;
       edit.parent = detached.parent;
       edit.index = detached.index;
       edit.nodes_affected = detached.subtree.size();
-      stats_.nodes_removed += detached.subtree.size();
+      stats->nodes_removed += detached.subtree.size();
       edit.removed = std::move(detached.subtree);
-      log_->Append(std::move(edit));
+      log->Append(std::move(edit));
     }
   }
-  const xml::Node* frag_root = fragment.Find(fragment.root());
-  for (xml::NodeId child : frag_root->children) {
-    AXMLX_ASSIGN_OR_RETURN(xml::NodeId copy,
-                           doc_->ImportSubtree(fragment, child));
-    AXMLX_RETURN_IF_ERROR(doc_->AppendChild(info.element, copy));
+  for (size_t i = 0; i < results.size(); ++i) {
+    const xml::NodeId node = results[i];
+    if (status.ok()) status = doc->AppendChild(sc, node);
+    if (!status.ok()) {
+      // Not attached: drop it, so no detached node outlives the failure.
+      AXMLX_RETURN_IF_ERROR(doc->RemoveSubtree(node).status());
+      continue;
+    }
     xml::Edit edit;
     edit.kind = xml::Edit::Kind::kInsertSubtree;
-    edit.node = copy;
-    edit.parent = info.element;
-    edit.index = doc_->IndexInParent(copy);
-    edit.nodes_affected = doc_->SubtreeSize(copy);
-    stats_.nodes_inserted += edit.nodes_affected;
-    log_->Append(std::move(edit));
-    inserted.push_back(copy);
+    edit.node = node;
+    edit.parent = sc;
+    edit.index = doc->Find(sc)->children.size() - 1;
+    edit.nodes_affected = doc->SubtreeSize(node);
+    stats->nodes_inserted += edit.nodes_affected;
+    log->Append(std::move(edit));
   }
+  return status;
+}
+
+Result<std::vector<xml::NodeId>> Materializer::ApplyResults(
+    const ServiceCallInfo& info, const xml::Document& fragment) {
+  std::vector<xml::NodeId> inserted;
+  const xml::Node* frag_root = fragment.Find(fragment.root());
+  for (xml::NodeId child : frag_root->children) {
+    Result<xml::NodeId> copy = doc_->ImportSubtree(fragment, child);
+    if (!copy.ok()) {
+      for (xml::NodeId node : inserted) {
+        AXMLX_RETURN_IF_ERROR(doc_->RemoveSubtree(node).status());
+      }
+      return copy.status();
+    }
+    inserted.push_back(*copy);
+  }
+  AXMLX_RETURN_IF_ERROR(ApplyCallResults(doc_, info.element, info.mode,
+                                         inserted, log_, &stats_));
   return inserted;
 }
 
@@ -160,7 +186,13 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeCall(
   if (response_or->fragment == nullptr) {
     return done(std::vector<xml::NodeId>{});
   }
-  return done(ApplyResults(info, *response_or->fragment));
+  const size_t edits_before = log_->size();
+  Result<std::vector<xml::NodeId>> applied =
+      ApplyResults(info, *response_or->fragment);
+  if (applied.ok() && observer_ && log_->size() != edits_before) {
+    observer_(sc, *response_or->fragment);
+  }
+  return done(std::move(applied));
 }
 
 Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(

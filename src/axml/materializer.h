@@ -60,6 +60,23 @@ struct MaterializeStats {
   size_t nodes_removed = 0;
 };
 
+/// Applies results to the call element `sc` of `doc` as materialization
+/// does: in replace mode the call's current results are detached first
+/// ("the previous results are replaced by the current invocation
+/// results"), then each of `results` (detached nodes of `doc`) is appended
+/// under `sc`. Each change is logged to `log` and counted in `stats`. On
+/// failure the results not yet attached are removed; the caller rolls back
+/// what `log` holds.
+Status ApplyCallResults(xml::Document* doc, xml::NodeId sc, ScMode mode,
+                        const std::vector<xml::NodeId>& results,
+                        xml::EditLog* log, MaterializeStats* stats);
+
+/// Told about each materialization that changed the document, right after
+/// it did: the call element and the response fragment whose root children
+/// became its results.
+using ResultsObserver =
+    std::function<void(xml::NodeId sc, const xml::Document& fragment)>;
+
 /// Materializes embedded service calls in a document (paper §1, §3.1).
 ///
 /// Every document mutation performed while applying invocation results is
@@ -90,6 +107,13 @@ class Materializer {
   /// Supplies a value for `$name` external parameters.
   void SetExternal(const std::string& name, const std::string& value) {
     externals_[name] = value;
+  }
+
+  /// Reports every materialization that changed the document to
+  /// `observer`, in edit order (nested parameter calls before the call
+  /// they feed). Empty — the default — reports nothing.
+  void SetResultsObserver(ResultsObserver observer) {
+    observer_ = std::move(observer);
   }
 
   /// Materializes the single call at `sc`: resolves parameters (recursively
@@ -143,6 +167,7 @@ class Materializer {
   /// Services that changed doc_ while being invoked.
   int64_t foreign_changes_ = 0;
   std::map<std::string, std::string> externals_;
+  ResultsObserver observer_;
   MaterializeStats stats_;
   int depth_ = 0;
 };

@@ -174,14 +174,19 @@ Status ValidateServiceCall(const xml::Document& doc, xml::NodeId id) {
   return Status::Ok();
 }
 
+ScMode ModeOf(const xml::Node& sc) {
+  const std::string* mode = sc.FindAttribute("mode");
+  return mode != nullptr && *mode == "merge" ? ScMode::kMerge
+                                             : ScMode::kReplace;
+}
+
 Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
                                          xml::NodeId id) {
   AXMLX_RETURN_IF_ERROR(ValidateServiceCall(doc, id));
   const xml::Node* n = doc.Find(id);
   ServiceCallInfo info;
   info.element = id;
-  const std::string* mode = n->FindAttribute("mode");
-  if (mode != nullptr && *mode == "merge") info.mode = ScMode::kMerge;
+  info.mode = ModeOf(*n);
   if (const std::string* v = n->FindAttribute("serviceNameSpace")) {
     info.service_namespace = *v;
   }

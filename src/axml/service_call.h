@@ -83,6 +83,10 @@ struct ServiceCallInfo {
 /// child that selection counts as an output is one replace mode removes.
 bool IsResultChild(const xml::Node& child);
 
+/// The mode of a call element: merge when its `mode` attribute says so,
+/// else replace (ValidateServiceCall rejects any other spelling).
+ScMode ModeOf(const xml::Node& sc);
+
 /// Parses the `<axml:sc>` element at `id`.
 Result<ServiceCallInfo> ParseServiceCall(const xml::Document& doc,
                                          xml::NodeId id);

@@ -40,6 +40,12 @@ class LockedExecutor {
     executor_.SetExternal(name, value);
   }
 
+  /// Appends path-addressed records of each operation's effect to `*sink`
+  /// (ops::Executor::CaptureRecords).
+  void CaptureRecords(std::vector<ops::Operation>* sink) {
+    executor_.CaptureRecords(sink);
+  }
+
   /// Executes `op` under `txn`, acquiring the required locks first.
   /// Returns kConflict (and acquires nothing durable) when a lock cannot be
   /// granted.

@@ -115,6 +115,18 @@ void Timeline::Exit(const std::string& txn, const char* phase, int64_t now) {
   Reattribute(&it->second, now, /*force=*/false);
 }
 
+void Timeline::Mark(const std::string& txn, const char* phase, int64_t now) {
+  auto it = open_.find(txn);
+  if (it == open_.end()) return;
+  // Enter would make `phase` the winner only if it outranks the attributed
+  // phase, closing the segment at `now`; Exit at the same instant hands
+  // the attribution straight back. Otherwise neither changes anything.
+  const int index = PhaseIndex(phase);
+  if (index >= 0 && index < it->second.attributed) {
+    Reattribute(&it->second, now, /*force=*/true);
+  }
+}
+
 void Timeline::EndTxn(const std::string& txn, int64_t now) {
   auto it = open_.find(txn);
   if (it == open_.end()) return;

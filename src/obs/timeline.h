@@ -14,7 +14,7 @@ class Histogram;
 class SpanTracker;
 
 /// Declared transaction phases. Every `phase` passed to Timeline::Enter /
-/// Timeline::Exit must come from this table (lint rules R3/R10, same
+/// Timeline::Exit / Timeline::Mark must come from this table (lint rules R3/R10, same
 /// contract as the kEvFr* recorder kinds): the `txn.latency.*` histograms,
 /// the trace exporter, and `axmlx_report --critical-path` all group by
 /// these strings, so an off-table spelling silently falls out of the
@@ -104,6 +104,12 @@ class Timeline {
   /// Places / releases one claim of `phase` on `txn` at time `now`.
   void Enter(const std::string& txn, const char* phase, int64_t now);
   void Exit(const std::string& txn, const char* phase, int64_t now);
+
+  /// Stamps a zero-width `phase` marker on `txn` at `now`: exactly what
+  /// Enter then Exit at the same `now` would record, in one lookup. A
+  /// marker can only end the current segment at `now`, and only when
+  /// `phase` outranks the attributed one.
+  void Mark(const std::string& txn, const char* phase, int64_t now);
 
   /// Closes the window at `now`, truncating any still-active claims, and
   /// observes the txn.latency.* histograms. Later Enter/Exit for the same

@@ -2,8 +2,10 @@
 
 #include <utility>
 
+#include "axml/service_call.h"
 #include "obs/flight_recorder.h"
 #include "query/parser.h"
+#include "xml/element_path.h"
 #include "xml/parser.h"
 
 namespace axmlx::ops {
@@ -49,6 +51,11 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
     }
     return std::vector<xml::NodeId>{op.target_node};
   }
+  if (!op.path.empty()) {
+    AXMLX_ASSIGN_OR_RETURN(xml::NodeId target,
+                           xml::ResolveElementPath(*doc_, op.path));
+    return std::vector<xml::NodeId>{target};
+  }
   if (op.location.empty()) {
     return InvalidArgument("operation has neither a location nor a target");
   }
@@ -67,12 +74,28 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
   for (const auto& [name, value] : externals_) {
     materializer.SetExternal(name, value);
   }
+  // Each materialization that changed the document is one record: the
+  // call's path and its results as text.
+  Status captured = Status::Ok();
+  if (records_ != nullptr) {
+    materializer.SetResultsObserver(
+        [this, &captured](xml::NodeId sc, const xml::Document& fragment) {
+          if (!captured.ok()) return;
+          Operation& record = records_->emplace_back();
+          record.type = ActionType::kQuery;
+          captured = xml::AppendElementPath(*doc_, sc, &record.path);
+          for (xml::NodeId c : fragment.Find(fragment.root())->children) {
+            fragment.SerializeTo(c, &record.data_xml);
+          }
+        });
+  }
   if (op.eager) {
     AXMLX_RETURN_IF_ERROR(materializer.MaterializeAll(doc_->root()).status());
   } else {
     AXMLX_RETURN_IF_ERROR(
         materializer.MaterializeForQuery(q, doc_->root()).status());
   }
+  AXMLX_RETURN_IF_ERROR(captured);
   effect->materialize_stats = materializer.stats();
   if (op.type == ActionType::kQuery) {
     AXMLX_ASSIGN_OR_RETURN(effect->query_result, Evaluate(q));
@@ -110,6 +133,32 @@ Status Executor::InsertData(std::string_view payload, xml::NodeId parent,
   return Status::Ok();
 }
 
+Status Executor::ApplyResultsRecord(const Operation& op, xml::NodeId sc,
+                                    OpEffect* effect) {
+  AXMLX_RETURN_IF_ERROR(axml::ValidateServiceCall(*doc_, sc));
+  AXMLX_RETURN_IF_ERROR(Capture(ActionType::kQuery, sc, op));
+  AXMLX_ASSIGN_OR_RETURN(std::vector<xml::NodeId> results,
+                         xml::ParseInto(doc_, WrapPayload(op)));
+  return axml::ApplyCallResults(doc_, sc, axml::ModeOf(*doc_->Find(sc)),
+                                results, &effect->edits,
+                                &effect->materialize_stats);
+}
+
+Status Executor::Capture(ActionType type, xml::NodeId target,
+                         const Operation& op) const {
+  if (records_ == nullptr) return Status::Ok();
+  Operation& record = records_->emplace_back();
+  record.type = type;
+  AXMLX_RETURN_IF_ERROR(xml::AppendElementPath(*doc_, target, &record.path));
+  if (type != ActionType::kDelete) record.data_xml = op.data_xml;
+  if (type == ActionType::kInsert) {
+    record.anchor = op.anchor;
+    record.has_position = op.has_position;
+    record.position = op.position;
+  }
+  return Status::Ok();
+}
+
 Result<OpEffect> Executor::Execute(const Operation& op) {
   Result<OpEffect> result = ExecuteInternal(op);
   if (recorder_ != nullptr) {
@@ -127,8 +176,13 @@ Result<OpEffect> Executor::Execute(const Operation& op) {
 Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
   OpEffect effect;
   effect.op = op;
-  auto fail = [this, &effect](Status status) -> Status {
-    // Leave the document untouched on error.
+  const size_t records_at = records_ != nullptr ? records_->size() : 0;
+  auto fail = [this, &effect, records_at](Status status) -> Status {
+    // Leave the document untouched on error, and no record of it.
+    if (records_ != nullptr) {
+      records_->erase(records_->begin() + static_cast<ptrdiff_t>(records_at),
+                      records_->end());
+    }
     Status rollback = xml::RollbackAll(doc_, effect.edits);
     if (!rollback.ok()) {
       return Internal("rollback after failed operation also failed: " +
@@ -144,6 +198,10 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
 
   switch (op.type) {
     case ActionType::kQuery:
+      if (!op.path.empty()) {
+        Status s = ApplyResultsRecord(op, effect.targets.front(), &effect);
+        if (!s.ok()) return fail(s);
+      }
       return effect;
 
     case ActionType::kDelete: {
@@ -151,6 +209,8 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
         // A previous deletion may have removed this target already (nested
         // targets); skip silently, matching set-oriented delete semantics.
         if (!doc_->Contains(target)) continue;
+        Status captured = Capture(ActionType::kDelete, target, op);
+        if (!captured.ok()) return fail(captured);
         auto detached_or = xml::DetachSubtree(doc_, target);
         if (!detached_or.ok()) return fail(detached_or.status());
         xml::DetachResult detached = std::move(detached_or).value();
@@ -174,6 +234,8 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
         size_t index = op.has_position
                            ? op.position
                            : doc_->Find(parent)->children.size();
+        Status captured = Capture(ActionType::kInsert, parent, op);
+        if (!captured.ok()) return fail(captured);
         Status s = xml::Reattach(doc_, *op.restore, parent, index);
         if (s.ok()) {
           xml::Edit edit;
@@ -187,7 +249,9 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
           return effect;
         }
         // Ids already live again (e.g. the plan ran twice): fall back to
-        // fresh-id insertion of the serialized payload below.
+        // fresh-id insertion of the serialized payload below, which
+        // captures its own record.
+        if (records_ != nullptr) records_->pop_back();
       }
       const std::string payload = WrapPayload(op);
       Status checked = xml::ParseInto(nullptr, payload).status();
@@ -204,6 +268,8 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
           }
           size_t index = doc_->IndexInParent(sibling);
           if (op.anchor == Operation::Anchor::kAfter) ++index;
+          Status captured = Capture(ActionType::kInsert, sibling, op);
+          if (!captured.ok()) return fail(captured);
           Status s = InsertData(payload, anchor_node->parent,
                                 /*has_index=*/true, index, &effect);
           if (!s.ok()) return fail(s);
@@ -212,6 +278,8 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
       }
       for (xml::NodeId parent : effect.targets) {
         if (!doc_->Contains(parent)) continue;
+        Status captured = Capture(ActionType::kInsert, parent, op);
+        if (!captured.ok()) return fail(captured);
         Status s = InsertData(payload, parent, op.has_position, op.position,
                               &effect);
         if (!s.ok()) return fail(s);
@@ -229,6 +297,8 @@ Result<OpEffect> Executor::ExecuteInternal(const Operation& op) {
       if (!checked.ok()) return fail(checked);
       for (xml::NodeId target : effect.targets) {
         if (!doc_->Contains(target)) continue;
+        Status captured = Capture(ActionType::kReplace, target, op);
+        if (!captured.ok()) return fail(captured);
         auto detached_or = xml::DetachSubtree(doc_, target);
         if (!detached_or.ok()) return fail(detached_or.status());
         xml::DetachResult detached = std::move(detached_or).value();

@@ -77,6 +77,15 @@ class Executor {
   /// one, each operation indexes the document's calls afresh.
   void SetCallCatalog(axml::CallCatalog* catalog) { catalog_ = catalog; }
 
+  /// Appends each operation's effect to `*sink` as path-addressed records
+  /// (Operation::path), one per edit, each computed as its edit is made.
+  /// Applying them in order to any copy of the document with the same
+  /// elements repeats the changes without evaluating a query or invoking a
+  /// service; a peer with a write journal journals these instead of its
+  /// operations. A failed operation leaves no record. Not owned; null —
+  /// the default — captures nothing.
+  void CaptureRecords(std::vector<Operation>* sink) { records_ = sink; }
+
   /// Stamps an OP_EXEC flight-recorder event per executed operation (not
   /// owned; null — the default — records nothing).
   void SetRecorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
@@ -94,7 +103,8 @@ class Executor {
   /// Execute() minus the flight-recorder stamp.
   Result<OpEffect> ExecuteInternal(const Operation& op);
 
-  /// Parses `op.location` and evaluates it, materializing needed service
+  /// Resolves the operation's direct target (node id or element path), or
+  /// parses `op.location` and evaluates it, materializing needed service
   /// calls into `effect->edits` first. Returns the selected target nodes.
   Result<std::vector<xml::NodeId>> ResolveLocation(const Operation& op,
                                                    OpEffect* effect);
@@ -105,12 +115,23 @@ class Executor {
   Status InsertData(std::string_view payload, xml::NodeId parent,
                     bool has_index, size_t index, OpEffect* effect);
 
+  /// A materialization record (kQuery with a path): applies `op.data_xml`
+  /// as the results of the call element `sc`.
+  Status ApplyResultsRecord(const Operation& op, xml::NodeId sc,
+                            OpEffect* effect);
+
+  /// While capturing, appends the record of an edit about to be made at
+  /// element `target` (the path is taken before the edit changes it).
+  Status Capture(ActionType type, xml::NodeId target,
+                 const Operation& op) const;
+
   xml::Document* doc_;
   axml::ServiceInvoker invoker_;
   std::vector<std::pair<std::string, std::string>> externals_;
   query::EvalContext* eval_ctx_ = nullptr;
   axml::CallCatalog* catalog_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
+  std::vector<Operation>* records_ = nullptr;
 };
 
 }  // namespace axmlx::ops

@@ -28,8 +28,13 @@ const char* ActionTypeName(ActionType type) {
 
 std::string Operation::ToXml() const {
   std::string out;
-  out.reserve(64 + data_xml.size() + location.size());
+  out.reserve(64 + data_xml.size() + location.size() + path.size());
   out.append("<action type=\"").append(ActionTypeName(type)).push_back('"');
+  if (!path.empty()) {
+    out.append(" path=\"");
+    AppendXmlEscaped(path, &out);
+    out.push_back('"');
+  }
   if (target_node != xml::kNullNode) {
     out.append(" targetNode=\"").append(std::to_string(target_node));
     out.push_back('"');
@@ -127,7 +132,9 @@ bool ParseCanonical(std::string_view text, Operation* op,
     std::string_view value = text.substr(0, quote);
     text.remove_prefix(quote + 1);
     uint64_t number = 0;
-    if (name == "targetNode" && ParseCount(value, &number)) {
+    if (name == "path" && !value.empty()) {
+      op->path = XmlUnescape(value);
+    } else if (name == "targetNode" && ParseCount(value, &number)) {
       op->target_node = number;
     } else if (name == "position" && ParseCount(value, &number)) {
       op->has_position = true;
@@ -186,6 +193,9 @@ Result<Operation> Operation::FromXml(std::string_view xml_text) {
   if (!ParseActionType(*type, &op.type)) {
     return ParseError("Operation::FromXml: unknown action type '" + *type +
                       "'");
+  }
+  if (const std::string* path = root->FindAttribute("path")) {
+    op.path = *path;
   }
   if (const std::string* t = root->FindAttribute("targetNode")) {
     op.target_node = std::strtoull(t->c_str(), nullptr, 10);

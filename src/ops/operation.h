@@ -33,15 +33,26 @@ struct Operation {
   ActionType type = ActionType::kQuery;
 
   /// `<location>` select statement (see query/parser.h). Empty when the
-  /// operation targets a node directly via `target_node`.
+  /// operation targets a node directly via `target_node` or `path`.
   std::string location;
+
+  /// Direct target by element path (xml/element_path.h), the form a peer
+  /// journals its effects in: the record names the element it changed by
+  /// position, so any copy of the document with the same elements applies
+  /// it without running a query. For kDelete/kReplace the element to
+  /// delete/replace; for kInsert the parent to insert under (or, with
+  /// kBefore/kAfter, the anchor sibling). For kQuery the path names an
+  /// `axml:sc` element and `data_xml` its materialized results: applying
+  /// the record replaces the call's results (replace mode) or appends them
+  /// (merge mode), invoking nothing. Empty for logical operations.
+  std::string path;
 
   /// `<data>` payload for insert/replace: serialized XML of the node(s) to
   /// insert. Multiple top-level nodes are allowed.
   std::string data_xml;
 
-  /// Direct target (compensating operations): for kDelete the node to
-  /// delete, for kInsert the parent to insert under.
+  /// Direct target by node id (compensating operations): for kDelete the
+  /// node to delete, for kInsert the parent to insert under.
   xml::NodeId target_node = xml::kNullNode;
 
   /// For kInsert with a direct target: insert at this child index, restoring
@@ -74,6 +85,8 @@ struct Operation {
 
   /// Serializes to the paper's syntax:
   ///   <action type="delete"><location>Select ...</location></action>
+  /// A path target is written as an attribute:
+  ///   <action type="insert" path="/Doc/log[0]"><data>...</data></action>
   std::string ToXml() const;
 
   /// Parses an `<action>` element. ToXml's own output is decoded directly;

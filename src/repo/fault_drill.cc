@@ -12,10 +12,11 @@ namespace axmlx::repo {
 namespace {
 
 /// WriteJournal adapter: mirrors a peer's transactional writes into its
-/// durable store. The store keeps its *own* document copies (ids preserved
-/// by cloning at seed time), journals every forward operation before
-/// applying it, and on a final decision either commits or rolls back using
-/// its own effect log — so a crash between any two steps recovers to a
+/// durable store. The store keeps its *own* document copies (seeded from
+/// the peer's text, so their node ids may differ), applies and journals
+/// every effect record the peer reports — each addresses its element by
+/// path — and on a final decision either commits or rolls back using its
+/// own effect log, so a crash between any two steps recovers to a
 /// consistent state from the WAL alone.
 class StoreJournal : public txn::WriteJournal {
  public:

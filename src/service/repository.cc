@@ -219,6 +219,9 @@ Result<InvocationOutcome> ServiceHost::Run(
   // the locks the transaction already holds.
   const bool locking = locks_ != nullptr && lock_id != 0;
   baseline::LockedExecutor locked(doc, downstream_, locks_);
+  if (capture_) outcome.records.reserve(service->ops.size());
+  executor.CaptureRecords(capture_ ? &outcome.records : nullptr);
+  locked.CaptureRecords(capture_ ? &outcome.records : nullptr);
   for (const auto& [key, value] : params) {
     executor.SetExternal(key, value);
     locked.SetExternal(key, value);
@@ -229,6 +232,8 @@ Result<InvocationOutcome> ServiceHost::Run(
     op.data_xml = SubstituteParams(op.data_xml, params);
     auto effect_or = locking ? locked.Execute(lock_id, op)
                              : executor.Execute(op);
+    // A partial rollback undoes work that is never journaled.
+    if (!effect_or.ok()) executor.CaptureRecords(nullptr);
     if (!effect_or.ok() &&
         effect_or.status().code() == StatusCode::kConflict) {
       comp::CompensationPlan partial =

@@ -96,6 +96,11 @@ struct InvocationOutcome {
   /// compensation.
   ops::OpLog effects;
 
+  /// The effects again, as the path-addressed records a write journal
+  /// takes (ops::Executor::CaptureRecords), in edit order. Empty unless
+  /// the host captures (ServiceHost::CaptureRecords).
+  std::vector<ops::Operation> records;
+
   /// The paper's cost measure for this invocation.
   size_t nodes_affected = 0;
 };
@@ -170,6 +175,11 @@ class ServiceHost {
   /// resolution via `locks->ReleaseAll(lock_id)`.
   void EnableLocking(baseline::PathLockManager* locks) { locks_ = locks; }
 
+  /// Makes Invoke capture each operation's effect as path-addressed
+  /// records (InvocationOutcome::records), for a peer that journals them.
+  /// Off by default.
+  void CaptureRecords(bool on) { capture_ = on; }
+
   /// Executes service `name` with `params`. On success the outcome carries
   /// the RESULT text plus the compensating-service definition. Service
   /// faults are returned as kServiceFault ("<fault_name>: ..."). `lock_id`
@@ -204,6 +214,7 @@ class ServiceHost {
   axml::ServiceInvoker downstream_;
   Rng* rng_;
   baseline::PathLockManager* locks_ = nullptr;
+  bool capture_ = false;
   query::EvalContext eval_ctx_;
 };
 

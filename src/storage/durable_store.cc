@@ -414,16 +414,29 @@ Status DurableStore::FlushWal() {
 
 Status DurableStore::AppendWal(const std::string& record, bool force_flush) {
   wal_batch_.append(record);
+  return EndWalRecord(std::string_view(record).substr(0, record.find(' ')),
+                      force_flush);
+}
+
+Status DurableStore::AppendWal(std::string_view tag, const std::string& txn,
+                               const std::string& doc,
+                               const ops::Operation& op) {
+  wal_batch_.append(tag).append(" ").append(txn).append(" ");
+  wal_batch_.append(doc).append(" ");
+  EncodeWalPayloadTo(op.ToXml(), &wal_batch_);
+  return EndWalRecord(tag, /*force_flush=*/false);
+}
+
+Status DurableStore::EndWalRecord(std::string_view kind, bool force_flush) {
   wal_batch_.push_back('\n');
   ++batched_records_;
   ++stats_.wal_records;
   ++wal_counters_.records_batched;
   if (recorder_ != nullptr) {
-    // `what` is the record's keyword ("BEGIN", "OP", "RESOLVED", ...), a
-    // view into `record` — no allocation on the append hot path.
-    recorder_->Record(obs::kEvFrWalAppend,
-                      std::string_view(record).substr(0, record.find(' ')),
-                      /*span=*/0, static_cast<int64_t>(batched_records_));
+    // `what` is the record's keyword ("BEGIN", "OP", "RESOLVED", ...) —
+    // no allocation on the append hot path.
+    recorder_->Record(obs::kEvFrWalAppend, kind, /*span=*/0,
+                      static_cast<int64_t>(batched_records_));
   }
   bool flush_now = force_flush;
   switch (flush_policy_.mode) {
@@ -522,8 +535,7 @@ Result<const ops::OpEffect*> DurableStore::Execute(const std::string& txn,
   MarkPhase(txn, obs::kPhaseWalAppend);
   // The record is batched even when its flush fails, so it counts toward
   // the RESOLVED op total either way.
-  Status logged =
-      AppendWal("OP " + txn + " " + doc + " " + EncodeWalPayload(op.ToXml()));
+  Status logged = AppendWal("OP", txn, doc, op);
   active_txns_[txn].wal_ops++;
   AXMLX_RETURN_IF_ERROR(logged);
   return effect;
@@ -553,8 +565,7 @@ Status DurableStore::CompensateTxn(const std::string& txn, bool journal) {
         comp::CompensationBuilder::ForEffect(effects[i - 1]);
     for (const ops::Operation& comp_op : plan.operations) {
       if (journal) {
-        AXMLX_RETURN_IF_ERROR(AppendWal("OP " + txn + " " + doc + " " +
-                                        EncodeWalPayload(comp_op.ToXml())));
+        AXMLX_RETURN_IF_ERROR(AppendWal("OP", txn, doc, comp_op));
         state.wal_ops++;
       }
       xml::Document* target = Get(doc);
@@ -592,9 +603,7 @@ Status DurableStore::Abort(const std::string& txn) {
 
 void DurableStore::MarkPhase(const std::string& txn, const char* phase) {
   if (timeline_ == nullptr) return;
-  const int64_t now = timeline_->now();
-  timeline_->Enter(txn, phase, now);
-  timeline_->Exit(txn, phase, now);
+  timeline_->Mark(txn, phase, timeline_->now());
 }
 
 Status DurableStore::JournalDedupKey(const std::string& key) {

@@ -50,18 +50,35 @@ struct FlushPolicy {
 /// is recorded in a write-ahead log before its transaction resolves, and
 /// `Checkpoint()` persists full snapshots and truncates the log.
 ///
-/// Recovery follows the logical-redo-then-compensate discipline that falls
-/// out of the paper's compensation model (§3.1): on `Open()`, the last
-/// snapshot is loaded and the WAL is replayed **in order** — regenerating
-/// each operation's effect log as it goes — after which transactions with
-/// no RESOLVED record (in-flight at the crash) are rolled back by executing
+/// Recovery follows the redo-then-compensate discipline that falls out of
+/// the paper's compensation model (§3.1): on `Open()`, the last snapshot is
+/// loaded and the WAL is replayed **in order** — regenerating each
+/// record's effect log as it goes — after which transactions with no
+/// RESOLVED record (in-flight at the crash) are rolled back by executing
 /// their dynamically constructed compensating operations in reverse order.
 /// A completed abort is itself durable: the compensating operations are
 /// logged as ordinary operations before the transaction is RESOLVED.
 ///
+/// What a peer journals are effect records (txn::WriteJournal): operations
+/// whose target is an element path (ops::Operation::path), captured as each
+/// edit was made. They apply through the executor's direct-target branch —
+/// no query runs, no call catalog is read and the invoker is never called —
+/// so replay repeats what the peer did even for a service that answers
+/// differently each time, and a store seeded from the peer's text with
+/// other node ids applies them all the same. Logical operations (a
+/// `<location>` query) from other callers still execute, materializing
+/// through the invoker.
+///
 /// WAL record grammar (one record per line, payloads newline-escaped):
 ///   BEGIN <txn> <version>
 ///   OP <txn> <doc> <operation-xml>
+///                             -- <operation-xml> is Operation::ToXml: an
+///                                effect record names its target with
+///                                path="/Doc/log[0]" (a materialization:
+///                                type="query", the axml:sc's path and its
+///                                results as <data>); a logical operation
+///                                with <location>; a compensating one with
+///                                targetNode (and ids)
 ///   RESOLVED <txn> <C|A> <ops> <version>
 ///                             -- C = commit, A = abort whose compensation is
 ///                                fully journaled as OP records; <ops> is the
@@ -86,10 +103,11 @@ struct FlushPolicy {
 class DurableStore {
  public:
   /// `directory` is created on Open() if missing. `invoker` resolves
-  /// embedded service-call materializations during execution AND during
-  /// recovery replay (pass the same deterministic invoker for exact
-  /// replay; null forbids materialization). `flush_policy` selects the
-  /// group-commit mode; the destructor flushes whatever is still buffered.
+  /// embedded service-call materializations of logical operations, during
+  /// execution and during recovery replay (only a deterministic invoker
+  /// replays them exactly; null forbids materialization). Effect records
+  /// never call it. `flush_policy` selects the group-commit mode; the
+  /// destructor flushes whatever is still buffered.
   DurableStore(std::string directory, axml::ServiceInvoker invoker,
                FlushPolicy flush_policy = FlushPolicy::EveryRecord());
   ~DurableStore();
@@ -125,8 +143,9 @@ class DurableStore {
   Status Begin(const std::string& txn);
 
   /// Applies `op` against document `doc` under `txn`, then journals it. A
-  /// failed operation leaves the document untouched and journals nothing,
-  /// so replay never re-runs it.
+  /// failed operation (an effect record whose path does not resolve, among
+  /// others) leaves the document untouched and journals nothing, so replay
+  /// never re-runs it.
   Result<const ops::OpEffect*> Execute(const std::string& txn,
                                        const std::string& doc,
                                        const ops::Operation& op);
@@ -242,6 +261,15 @@ class DurableStore {
   /// Appends `record` to the WAL batch; flushes per policy. Pass
   /// `force_flush` for records that resolve a transaction.
   Status AppendWal(const std::string& record, bool force_flush = false);
+
+  /// Appends the record "<tag> <txn> <doc> <operation-xml>" (an OP
+  /// record), written into the batch in place; flushes per policy.
+  Status AppendWal(std::string_view tag, const std::string& txn,
+                   const std::string& doc, const ops::Operation& op);
+
+  /// Ends the record just written to the batch (`kind` is its keyword)
+  /// and flushes per policy.
+  Status EndWalRecord(std::string_view kind, bool force_flush);
 
   Status ReplayWal();
   Status LoadSnapshots();

@@ -107,6 +107,11 @@ int64_t AxmlPeer::LockIdFor(const std::string& txn) {
 
 AxmlPeer::~AxmlPeer() = default;
 
+void AxmlPeer::AttachJournal(WriteJournal* journal) {
+  journal_ = journal;
+  host_->CaptureRecords(journal != nullptr);
+}
+
 axml::ServiceInvoker AxmlPeer::MakeLocalInvoker() {
   // Resolves embedded service-call materializations against the local
   // repository. Cross-peer data-plane calls (serviceURL naming another
@@ -238,12 +243,13 @@ void AxmlPeer::Begin(Ctx* ctx, overlay::Network* net) {
   ctx->local_done = true;
   if (journal_ != nullptr && !def->document.empty() &&
       !ctx->local.effects.empty()) {
-    std::vector<ops::Operation> applied;
-    applied.reserve(ctx->local.effects.size());
-    for (const ops::OpEffect& effect : ctx->local.effects.effects()) {
-      applied.push_back(effect.op);
-    }
-    journal_->OnApply(ctx->txn, def->document, applied);
+    // The journal gets what the operations did, as path-addressed records
+    // in edit order, not the operations themselves: replaying it runs no
+    // query and invokes no service. A service that changed nothing still
+    // reports (with no records), so its transaction is begun and resolved
+    // in the journal like any other.
+    const std::vector<ops::Operation> records = std::move(ctx->local.records);
+    journal_->OnApply(ctx->txn, def->document, records);
   }
   // Injected failure (experiments): either fail now — partial local work
   // already done and compensated — or arm a fault that strikes after the
@@ -823,9 +829,8 @@ void AxmlPeer::ExitEval(Ctx* ctx, overlay::Network* net) {
 void AxmlPeer::MarkCompensation(const std::string& txn,
                                 overlay::Network* net) {
   if (timeline_ == nullptr) return;
-  const int64_t now = net != nullptr ? net->now() : timeline_->now();
-  timeline_->Enter(txn, obs::kPhaseCompensation, now);
-  timeline_->Exit(txn, obs::kPhaseCompensation, now);
+  timeline_->Mark(txn, obs::kPhaseCompensation,
+                  net != nullptr ? net->now() : timeline_->now());
 }
 
 void AxmlPeer::Complete(Ctx* ctx, overlay::Network* net) {

@@ -82,16 +82,25 @@ struct PeerCounters {
 
 /// Observer interface for durable journaling of a peer's transactional
 /// writes. The fault-drill harness wires a storage::DurableStore-backed
-/// adapter here; the peer reports every applied forward operation and every
-/// final decision, which is exactly what WAL-based crash recovery needs: on
-/// restart the store replays its log and rolls back unresolved (in-flight)
-/// transactions, and the peer is rebuilt from the recovered documents.
+/// adapter here; the peer reports the effect of every applied forward
+/// operation and every final decision, which is exactly what WAL-based
+/// crash recovery needs: on restart the store replays its log and rolls
+/// back unresolved (in-flight) transactions, and the peer is rebuilt from
+/// the recovered documents.
 class WriteJournal {
  public:
   virtual ~WriteJournal() = default;
 
-  /// `ops` are the fully parameter-substituted operations this peer just
-  /// applied to `document` under `txn`, in execution order.
+  /// `ops` are the effects of the service this peer just ran on `document`
+  /// under `txn`: one path-addressed record (ops::Operation::path) per
+  /// edit, captured as the edit was made, in edit order. Inserts carry
+  /// their data verbatim; a materialized call is one record carrying the
+  /// call's path and its results. A store applies them by path to its own
+  /// copy of the document (any copy with the same elements, whatever its
+  /// node ids): no query runs and no service is invoked, so replay matches
+  /// the live document even for a service that answers differently each
+  /// time. A service whose operations changed nothing (a lazy query that
+  /// materialized no call) reports an empty list.
   virtual void OnApply(const std::string& txn, const std::string& document,
                       const std::vector<ops::Operation>& ops) = 0;
 
@@ -198,8 +207,9 @@ class AxmlPeer : public overlay::PeerNode {
   }
 
   /// Attaches a durable write journal (not owned; null detaches). Must be
-  /// set before the peer does transactional work.
-  void AttachJournal(WriteJournal* journal) { journal_ = journal; }
+  /// set before the peer does transactional work. Only a peer with a
+  /// journal captures the path-addressed records OnApply reports.
+  void AttachJournal(WriteJournal* journal);
 
   /// Pre-populates the at-most-once dedup window (crash-restart recovery:
   /// keys come from the journal's WAL). Does not echo back to OnDedup.

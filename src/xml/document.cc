@@ -15,7 +15,21 @@ constexpr const char* kReservedNames[kNumReservedNames] = {
     "axml:sc",       "axml:params", "axml:catch",
     "axml:catchAll", "axml:retry",  "axml:param"};
 
+/// The same names as strings, for NameOf.
+const std::string kReservedNameStrings[kNumReservedNames] = {
+    kReservedNames[0], kReservedNames[1], kReservedNames[2],
+    kReservedNames[3], kReservedNames[4], kReservedNames[5]};
+
 const std::string kEmptyName;
+
+/// Makes room for `n` entries in `v`, growing geometrically from a floor of
+/// eight: a small document's table takes one allocation, at first use.
+template <typename T>
+void ReserveFor(std::vector<T>* v, size_t n) {
+  if (n > v->capacity()) {
+    v->reserve(std::max<size_t>({n, 2 * v->capacity(), 8}));
+  }
+}
 
 /// Source of Document::identity(); atomic so documents may be built on any
 /// thread.
@@ -30,24 +44,7 @@ Document::Document(const std::string& root_name) : Document(BuildTag{}) {
   root_ = CreateElement(root_name);
 }
 
-Document::Document(BuildTag) : Document(RawTag{}) {
-  // Most documents are small fragments (service results, query results):
-  // size the tables for the reserved names plus a few of their own up
-  // front instead of regrowing them one element at a time.
-  constexpr size_t kInitialNames = 16;
-  names_.reserve(kInitialNames);
-  name_ids_.reserve(kInitialNames);
-  name_index_.reserve(kInitialNames);
-  slot_gen_.reserve(1u << kChunkBits);
-  slot_of_id_.reserve(1u << kChunkBits);
-  gen_of_id_.reserve(1u << kChunkBits);
-  // The reserved names take ids 0..kNumReservedNames-1 without a hash
-  // entry: ReservedNameId resolves them by spelling.
-  for (const char* reserved : kReservedNames) {
-    names_.emplace_back(reserved);
-    name_index_.emplace_back();
-  }
-}
+Document::Document(BuildTag) : Document(RawTag{}) {}
 
 std::unique_ptr<Document> Document::Clone() const {
   std::unique_ptr<Document> copy(new Document(RawTag{}));
@@ -68,11 +65,9 @@ std::unique_ptr<Document> Document::Clone() const {
   copy->slots_used_ = slots_used_;
   copy->free_slots_ = free_slots_;
   copy->slot_gen_ = slot_gen_;
-  copy->slot_of_id_ = slot_of_id_;
-  copy->gen_of_id_ = gen_of_id_;
+  copy->id_slots_ = id_slots_;
   copy->names_ = names_;
   copy->name_ids_ = name_ids_;
-  copy->name_index_ = name_index_;
   copy->storage_stats_ = storage_stats_;
   return copy;
 }
@@ -140,7 +135,7 @@ bool Document::SyncReplica(Document* replica) {
     *dst = *src;  // copy-assignment reuses the slot's string/vector capacity
     if (dst->is_element()) {
       dst->name_id = r.InternName(dst->name);
-      if (!indexed) r.name_index_[dst->name_id].push_back(id);
+      if (!indexed) r.IndexBucket(dst->name_id).push_back(id);
     } else {
       dst->name_id = kNoName;
     }
@@ -191,11 +186,21 @@ NameId Document::InternName(std::string_view name) {
   }
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) return it->second;
-  NameId id = static_cast<NameId>(names_.size());
-  names_.emplace_back(name);
-  name_ids_.emplace(names_.back(), id);
-  name_index_.emplace_back();
+  // The reserved names take ids 0..kNumReservedNames-1 without a hash
+  // entry: ReservedNameId resolves them by spelling.
+  const NameId id = static_cast<NameId>(interned_names());
+  IndexBucket(id);
+  names_[id].name = name;
+  name_ids_.emplace(names_[id].name, id);
   return id;
+}
+
+std::vector<NodeId>& Document::IndexBucket(NameId name_id) {
+  if (name_id >= names_.size()) {
+    ReserveFor(&names_, name_id + 1);
+    names_.resize(name_id + 1);
+  }
+  return names_[name_id].index;
 }
 
 NameId Document::FindNameId(std::string_view name) const {
@@ -207,8 +212,9 @@ NameId Document::FindNameId(std::string_view name) const {
 }
 
 const std::string& Document::NameOf(NameId name_id) const {
+  if (IsReservedName(name_id)) return kReservedNameStrings[name_id];
   if (name_id >= names_.size()) return kEmptyName;
-  return names_[name_id];
+  return names_[name_id].name;
 }
 
 uint32_t Document::AllocSlot() {
@@ -226,6 +232,7 @@ uint32_t Document::AllocSlot() {
     ++storage_stats_.pages_allocated;
   }
   uint32_t slot = slots_used_++;
+  ReserveFor(&slot_gen_, slots_used_);
   slot_gen_.push_back(0);
   return slot;
 }
@@ -238,15 +245,11 @@ void Document::AddPage(std::unique_ptr<Node[]> page, uint32_t capacity) {
 }
 
 void Document::MapIdToSlot(NodeId id, uint32_t slot) {
-  if (id == slot_of_id_.size()) {  // the common case: the next fresh id
-    slot_of_id_.push_back(kInvalidSlot);
-    gen_of_id_.push_back(0);
-  } else if (id > slot_of_id_.size()) {
-    slot_of_id_.resize(id + 1, kInvalidSlot);
-    gen_of_id_.resize(id + 1, 0);
+  if (id >= id_slots_.size()) {
+    ReserveFor(&id_slots_, id + 1);
+    id_slots_.resize(id + 1);
   }
-  slot_of_id_[id] = slot;
-  gen_of_id_[id] = slot_gen_[slot];
+  id_slots_[id] = {slot, slot_gen_[slot]};
   if (id >= next_id_) next_id_ = id + 1;
   ++live_nodes_;
 }
@@ -269,15 +272,15 @@ Node& Document::NewNode(NodeType type, NameId name_id) {
 // DestroySubtree / RollbackAll) records the mutation of `id` before freeing
 // it. lint:allow(R6)
 void Document::FreeNode(NodeId id) {
-  uint32_t slot = slot_of_id_[id];
+  uint32_t slot = id_slots_[id].slot;
   Node& node = NodeAt(slot);
   // Keep the tag index tight under create/destroy churn: drop this node's
   // entry when it sits at its bucket's tail (the common LIFO case), plus
   // any already-dead ids that pop exposes. Entries elsewhere in the bucket
   // stay until CollectElementsNamed's sweep.
   if (node.is_element() && node.name_id != kNoName &&
-      node.name_id < name_index_.size()) {
-    std::vector<NodeId>& bucket = name_index_[node.name_id];
+      node.name_id < names_.size()) {
+    std::vector<NodeId>& bucket = names_[node.name_id].index;
     if (!bucket.empty() && bucket.back() == id) {
       bucket.pop_back();
       while (!bucket.empty() && Find(bucket.back()) == nullptr) {
@@ -296,7 +299,7 @@ void Document::FreeNode(NodeId id) {
   node.attributes.clear();
   node.children.clear();
   ++slot_gen_[slot];
-  slot_of_id_[id] = kInvalidSlot;
+  id_slots_[id].slot = kInvalidSlot;
   free_slots_.push_back(slot);
   ++storage_stats_.nodes_freed;
   --live_nodes_;
@@ -307,7 +310,7 @@ NodeId Document::CreateElement(std::string_view name) {
   Node& node = NewNode(NodeType::kElement, name_id);
   node.name = name;
   node.name_id = name_id;
-  name_index_[name_id].push_back(node.id);
+  IndexBucket(name_id).push_back(node.id);
   return node.id;
 }
 
@@ -328,9 +331,9 @@ Node& Document::BuildNode(NodeType type, NameId name_id, Node* parent,
   Node& node = NewNode(type, name_id);
   const NodeId id = node.id;
   if (type == NodeType::kElement) {
-    node.name = names_[name_id];
+    node.name = NameOf(name_id);
     node.name_id = name_id;
-    name_index_[name_id].push_back(id);
+    IndexBucket(name_id).push_back(id);
     if (attributed) RecordVersion(id);
   }
   if (parent != nullptr) {
@@ -440,7 +443,7 @@ Status Document::RenameElement(NodeId id, const std::string& name) {
   // and sweeps it on the next lookup.
   n->name = name;
   n->name_id = name_id;
-  name_index_[name_id].push_back(id);
+  IndexBucket(name_id).push_back(id);
   return Status::Ok();
 }
 
@@ -547,7 +550,7 @@ Status Document::RestoreSubtree(const std::vector<Node>& nodes,
     Node& stored = NodeAt(slot);
     stored = n;
     stored.name_id = name_id;
-    if (stored.is_element()) name_index_[name_id].push_back(stored.id);
+    if (stored.is_element()) IndexBucket(name_id).push_back(stored.id);
     MapIdToSlot(n.id, slot);
     ++storage_stats_.nodes_allocated;
   }
@@ -592,28 +595,27 @@ Status Document::AssignPreOrderIds(const std::vector<NodeId>& ids,
                            " is not below the next id " +
                            std::to_string(next_id));
   }
-  std::vector<uint32_t> slot_of_id(top + 1, kInvalidSlot);
-  std::vector<uint32_t> gen_of_id(top + 1, 0);
+  std::vector<IdSlot> id_slots(top + 1);
   for (NodeId old : order) {
-    const uint32_t slot = slot_of_id_[old];
+    const uint32_t slot = id_slots_[old].slot;
     const NodeId id = remap[old];
-    if (slot_of_id[id] != kInvalidSlot) {
+    if (id_slots[id].slot != kInvalidSlot) {
       return InvalidArgument("AssignPreOrderIds: repeated id " +
                              std::to_string(id));
     }
-    slot_of_id[id] = slot;
-    gen_of_id[id] = slot_gen_[slot];
+    id_slots[id] = {slot, slot_gen_[slot]};
   }
   // Validated: rewrite every record's links. No replica is tracked, so the
   // version entries only count the mutation.
   for (NodeId old : order) {
-    Node& n = NodeAt(slot_of_id_[old]);
+    Node& n = NodeAt(id_slots_[old].slot);
     RecordVersion(remap[old]);
     n.id = remap[old];
     n.parent = n.parent == kNullNode ? kNullNode : remap[n.parent];
     for (NodeId& c : n.children) c = remap[c];
   }
-  for (std::vector<NodeId>& bucket : name_index_) {
+  for (NameEntry& entry : names_) {
+    std::vector<NodeId>& bucket = entry.index;
     size_t w = 0;
     for (NodeId old : bucket) {
       if (old < remap.size() && remap[old] != kNullNode && Find(old)) {
@@ -622,8 +624,7 @@ Status Document::AssignPreOrderIds(const std::vector<NodeId>& ids,
     }
     bucket.resize(w);
   }
-  slot_of_id_ = std::move(slot_of_id);
-  gen_of_id_ = std::move(gen_of_id);
+  id_slots_ = std::move(id_slots);
   root_ = remap[root_];
   next_id_ = next_id;
   // Every id changed under the records' feet.
@@ -647,8 +648,8 @@ bool Document::HoldsReservedElement(NodeId id) const {
 
 void Document::CollectElementsNamed(NameId name_id,
                                     std::vector<NodeId>* out) const {
-  if (name_id >= name_index_.size()) return;
-  std::vector<NodeId>& bucket = name_index_[name_id];
+  if (name_id >= names_.size()) return;
+  std::vector<NodeId>& bucket = names_[name_id].index;
   // Filter + compact in place: survivors are the live elements still named
   // `name_id`; everything else (destroyed or renamed) is swept.
   size_t w = 0;

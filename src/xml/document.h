@@ -1,6 +1,7 @@
 #ifndef AXMLX_XML_DOCUMENT_H_
 #define AXMLX_XML_DOCUMENT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -92,9 +93,7 @@ class Document {
   uint64_t identity() const { return identity_; }
 
   /// Counts every recorded node-state change (every RecordVersion call).
-  /// version() is the same counter.
   uint64_t mutation_count() const { return mutations_; }
-  uint64_t version() const { return mutations_; }
 
   /// Call-shape generation (DESIGN.md §8). After WatchCallShape() it moves
   /// at the next mutation that touches a reserved AXML element (node.h):
@@ -121,12 +120,12 @@ class Document {
 
   /// Returns the node or nullptr if the id is unknown (e.g. deleted).
   const Node* Find(NodeId id) const {
-    if (id == kNullNode || id >= slot_of_id_.size()) return nullptr;
-    const uint32_t slot = slot_of_id_[id];
-    if (slot == kInvalidSlot || slot_gen_[slot] != gen_of_id_[id]) {
+    if (id == kNullNode || id >= id_slots_.size()) return nullptr;
+    const IdSlot entry = id_slots_[id];
+    if (entry.slot == kInvalidSlot || slot_gen_[entry.slot] != entry.gen) {
       return nullptr;
     }
-    return &NodeAt(slot);
+    return &NodeAt(entry.slot);
   }
 
   /// Mutable access for internal editors. Prefer the typed mutators below.
@@ -151,7 +150,9 @@ class Document {
   const std::string& NameOf(NameId name_id) const;
 
   /// Number of distinct interned names.
-  size_t interned_names() const { return names_.size(); }
+  size_t interned_names() const {
+    return std::max<size_t>(names_.size(), kNumReservedNames);
+  }
 
 
   // --- Node creation -------------------------------------------------------
@@ -236,7 +237,7 @@ class Document {
   /// False when CollectElementsNamed(name_id) would append nothing because
   /// the index holds no entry, live or stale, for `name_id`. O(1).
   bool HasIndexEntries(NameId name_id) const {
-    return name_id < name_index_.size() && !name_index_[name_id].empty();
+    return name_id < names_.size() && !names_[name_id].index.empty();
   }
 
   // --- Introspection -------------------------------------------------------
@@ -465,16 +466,27 @@ class Document {
 
   // Dense id -> slot mapping with the generation captured at mapping time;
   // a mismatch means the id is stale (its node was destroyed).
-  std::vector<uint32_t> slot_of_id_;
-  std::vector<uint32_t> gen_of_id_;
+  struct IdSlot {
+    uint32_t slot = kInvalidSlot;
+    uint32_t gen = 0;
+  };
+  std::vector<IdSlot> id_slots_;
 
-  // Interned tag names.
-  std::vector<std::string> names_;
+  // Interned tag names, [NameId] -> spelling and tag-index bucket. The
+  // reserved names are spelled by a static table (their entries hold only
+  // a bucket) and the table grows on first use, so a small fragment pays
+  // for the names it has and nothing up front.
+  struct NameEntry {
+    std::string name;  ///< Empty for the reserved names.
+    /// Tag index: element ids with this name, maintained lazily.
+    std::vector<NodeId> index;
+  };
+  /// Mutable so const lookups can sweep stale index entries in place.
+  mutable std::vector<NameEntry> names_;
   std::unordered_map<std::string, NameId, StringHash, StringEq> name_ids_;
 
-  // Tag index: [NameId] -> element ids, maintained lazily (mutable so const
-  // lookups can sweep stale entries in place).
-  mutable std::vector<std::vector<NodeId>> name_index_;
+  /// The tag-index bucket of `name_id`, growing names_ to hold it.
+  std::vector<NodeId>& IndexBucket(NameId name_id);
 
   mutable StorageStats storage_stats_;
 

@@ -960,6 +960,31 @@ void Claim(obs::Timeline* tl) {
   EXPECT_NE(r3[0].message.find("kPhase"), std::string::npos);
 }
 
+TEST(LintTest, R3FlagsOffTablePhaseAtMarkSite) {
+  std::vector<SourceFile> files = CleanTree();
+  files.push_back({"obs/timeline.h", R"cc(#ifndef AXMLX_OBS_TIMELINE_H_
+#define AXMLX_OBS_TIMELINE_H_
+namespace axmlx::obs {
+inline constexpr char kPhaseWalAppend[] = "WAL_APPEND";
+inline constexpr char kPhaseQueueWait[] = "QUEUE_WAIT";
+}  // namespace axmlx::obs
+#endif  // AXMLX_OBS_TIMELINE_H_
+)cc"});
+  files.push_back({"storage/marks.cc", R"cc(#include "obs/timeline.h"
+namespace axmlx::storage {
+void Stamp(obs::Timeline* tl) {
+  tl->Mark("t1", "WAL_APPEND", 3);
+  tl->Mark("t1", "WAL_WRITE", 4);
+}
+}  // namespace axmlx::storage
+)cc"});
+  const std::vector<Finding> r3 = OfRule(RunLint(files), "R3");
+  ASSERT_EQ(r3.size(), 1u) << FormatFindings(r3);
+  EXPECT_EQ(r3[0].file, "storage/marks.cc");
+  EXPECT_EQ(r3[0].line, 5);  // The off-table spelling; line 4 is declared.
+  EXPECT_NE(r3[0].message.find("WAL_WRITE"), std::string::npos);
+}
+
 TEST(LintTest, R10FlagsPhaseConstantOutsideHomeTable) {
   std::vector<SourceFile> files = CleanTree();
   files.push_back({"obs/timeline.h", R"cc(#ifndef AXMLX_OBS_TIMELINE_H_

@@ -431,7 +431,6 @@ TEST(ParseDiffTest, PayloadsBuildLikeTheRecursiveParser) {
       }
       EXPECT_EQ((*a)->next_id(), (*b)->next_id()) << where;
       EXPECT_EQ((*a)->size(), (*b)->size()) << where;
-      EXPECT_EQ((*a)->version(), (*b)->version()) << where;
       EXPECT_EQ((*a)->mutation_count(), (*b)->mutation_count()) << where;
       EXPECT_EQ((*a)->call_shape_generation(), (*b)->call_shape_generation())
           << where;

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "axmlx_report/report.h"
+#include "common/rng.h"
 #include "obs/json.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -93,6 +94,55 @@ TEST(Timeline, LateAndForeignEventsAreIgnored) {
   tl.EndTxn("TB", 9);
   ASSERT_EQ(tl.txns().size(), 1u);
   EXPECT_EQ(tl.txns()[0].end, 4);
+}
+
+TEST(Timeline, MarkRecordsWhatEnterThenExitRecords) {
+  // Random claim sequences with zero-width markers mixed in: Mark on one
+  // timeline, an Enter/Exit pair at the same instant on the other.
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    obs::Timeline marked;
+    obs::Timeline paired;
+    int64_t now = 0;
+    std::vector<int> held;
+    for (obs::Timeline* tl : {&marked, &paired}) tl->BeginTxn("TA", 0);
+    for (int step = 0; step < 60; ++step) {
+      now += static_cast<int64_t>(rng.Uniform(3));
+      const char* phase =
+          obs::PhaseTable()[rng.Uniform(obs::kPhaseCount)];
+      switch (rng.Uniform(3)) {
+        case 0:
+          for (obs::Timeline* tl : {&marked, &paired}) {
+            tl->Enter("TA", phase, now);
+          }
+          held.push_back(obs::PhaseIndex(phase));
+          break;
+        case 1:
+          if (held.empty()) break;
+          for (obs::Timeline* tl : {&marked, &paired}) {
+            tl->Exit("TA", obs::PhaseTable()[held.back()], now);
+          }
+          held.pop_back();
+          break;
+        default:
+          marked.Mark("TA", phase, now);
+          paired.Enter("TA", phase, now);
+          paired.Exit("TA", phase, now);
+      }
+    }
+    for (obs::Timeline* tl : {&marked, &paired}) tl->EndTxn("TA", now + 1);
+    const obs::TxnTimeline& a = marked.txns().front();
+    const obs::TxnTimeline& b = paired.txns().front();
+    ASSERT_EQ(a.segments.size(), b.segments.size()) << "seed " << seed;
+    for (size_t i = 0; i < a.segments.size(); ++i) {
+      EXPECT_STREQ(a.segments[i].phase, b.segments[i].phase);
+      EXPECT_EQ(a.segments[i].start, b.segments[i].start);
+      EXPECT_EQ(a.segments[i].end, b.segments[i].end);
+    }
+    for (int i = 0; i < obs::kPhaseCount; ++i) {
+      EXPECT_EQ(a.phase_ticks[i], b.phase_ticks[i]) << "seed " << seed;
+    }
+  }
 }
 
 TEST(Timeline, EndObservesPhaseHistograms) {

@@ -9,6 +9,7 @@
 #include "repo/scenarios.h"
 #include "service/repository.h"
 #include "txn/payload.h"
+#include "xml/parser.h"
 
 namespace axmlx::repo {
 namespace {
@@ -382,6 +383,73 @@ TEST(TxnProtocol, StuckWithoutDetectionWhenChildDies) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->decided);
   EXPECT_EQ(outcome->status.code(), StatusCode::kTimeout);
+}
+
+/// Keeps every record a peer journals.
+class RecordingJournal : public txn::WriteJournal {
+ public:
+  void OnApply(const std::string&, const std::string&,
+               const std::vector<ops::Operation>& ops) override {
+    ++applies;
+    records.insert(records.end(), ops.begin(), ops.end());
+  }
+  void OnResolved(const std::string&, bool) override {}
+  int applies = 0;
+  std::vector<ops::Operation> records;
+};
+
+TEST(TxnProtocol, PeerJournalsPathRecordsNotLocations) {
+  AxmlRepository repo(1);
+  AxmlRepository::PeerConfig config;
+  config.id = "P1";
+  txn::AxmlPeer* peer = repo.AddPeer(config).value();
+  ASSERT_TRUE(repo.HostDocument(
+                      "P1",
+                      "<Doc><calls><axml:sc mode=\"merge\" serviceURL=\"P1\" "
+                      "methodName=\"Quote\" outputName=\"q\"/></calls>"
+                      "<log><entry n=\"0\"/><entry n=\"1\"/></log></Doc>")
+                  .ok());
+  service::ServiceDefinition quote;
+  quote.name = "Quote";
+  quote.native = [](const axml::ServiceRequest&)
+      -> Result<axml::ServiceResponse> {
+    AXMLX_ASSIGN_OR_RETURN(auto fragment, xml::Parse("<r><q>1</q></r>"));
+    return axml::ServiceResponse{std::move(fragment)};
+  };
+  ASSERT_TRUE(repo.HostService("P1", std::move(quote)).ok());
+  service::ServiceDefinition s;
+  s.name = "S";
+  s.document = "Doc";
+  s.ops = {
+      ops::MakeQuery("Select d//q from d in Doc"),
+      ops::MakeInsert("Select l from l in Doc/log", "<entry n=\"2\"/>"),
+      ops::MakeInsertBefore("Select e from e in Doc//entry where e/@n = 1",
+                            "<entry n=\"b\"/>"),
+      ops::MakeReplace("Select e from e in Doc//entry where e/@n = 0",
+                       "<entry n=\"r\"/>"),
+      ops::MakeDelete("Select e from e in Doc//entry where e/@n = 2"),
+      // Materializes nothing: no call produces <log>.
+      ops::MakeQuery("Select l from l in Doc/log"),
+  };
+  ASSERT_TRUE(repo.HostService("P1", std::move(s)).ok());
+  RecordingJournal journal;
+  peer->AttachJournal(&journal);
+  auto outcome = repo.RunTransaction("P1", "T1", "S");
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_TRUE(outcome->status.ok()) << outcome->status;
+  EXPECT_EQ(journal.applies, 1);
+  // One record per edit: the materialization, the two inserts, the
+  // replace and the delete. The second query changed nothing.
+  ASSERT_EQ(journal.records.size(), 5u);
+  for (const ops::Operation& record : journal.records) {
+    EXPECT_FALSE(record.path.empty()) << record.ToXml();
+    EXPECT_TRUE(record.location.empty()) << record.ToXml();
+    EXPECT_EQ(record.target_node, xml::kNullNode) << record.ToXml();
+  }
+  EXPECT_EQ(journal.records[0].path, "/Doc/calls[0]/axml:sc[0]");
+  EXPECT_EQ(journal.records[2].path, "/Doc/log[0]/entry[1]");
+  EXPECT_EQ(journal.records[2].anchor, ops::Operation::Anchor::kBefore);
+  EXPECT_EQ(journal.records[4].path, "/Doc/log[0]/entry[3]");
 }
 
 }  // namespace

@@ -674,10 +674,13 @@ void CheckNameTables(const std::vector<File>& files,
           have_span_table && toks[i].text == "OpenSpan" && member_call;
       const bool rec_site =
           have_rec_table && toks[i].text == "Record" && member_call;
-      // Timeline phase claims (`.Enter(` / `->Exit(`): the phase argument.
+      // Timeline phase claims and markers (`.Enter(` / `->Exit(` /
+      // `->Mark(`): the phase argument.
       const bool phase_site =
           have_phase_table &&
-          (toks[i].text == "Enter" || toks[i].text == "Exit") && member_call;
+          (toks[i].text == "Enter" || toks[i].text == "Exit" ||
+           toks[i].text == "Mark") &&
+          member_call;
       if (!trace_site && !span_site && !rec_site && !phase_site) continue;
       const std::set<std::string>& table =
           span_site ? declared_span_kinds
